@@ -129,7 +129,7 @@ type MultiSystem struct {
 	de       *sim.DomainEngine
 
 	// budgetBytes tracks ledger reservations (mailbox buffers, window
-	// scratch, shard owner map) released when the run ends.
+	// scratch, shard owner table) released when the run ends.
 	budgetBytes int64
 
 	started   bool
@@ -147,7 +147,9 @@ func (d coreDomain) ArmedAt() (sim.Cycle, bool) { return d.p.Armed() }
 func (d coreDomain) Stretchable() bool          { return d.p.CanStretch() }
 func (d coreDomain) FireArmed()                 { d.p.FireArmedStep() }
 func (d coreDomain) Stretch(h sim.Cycle)        { d.p.RunStretch(h) }
-func (d coreDomain) Commit()                    { d.p.CommitStretch() }
+func (d coreDomain) Handoff() (sim.Cycle, bool) { return d.p.Handoff() }
+func (d coreDomain) Commit(keepHandoff bool)    { d.p.CommitStretch(keepHandoff) }
+func (d coreDomain) FireHandoff()               { d.p.FireHandoff() }
 
 // NewMultiSystem builds the machine, or reports the first
 // configuration error.
@@ -221,6 +223,7 @@ func NewMultiSystem(mc MulticoreConfig) (*MultiSystem, error) {
 		}
 		ss.cores = ms.cores
 		ss.pendingDeliver = make([]bool, len(ms.cores))
+		ss.waiting = make([]int, len(ms.cores))
 		ss.attrib = make([]stats.ShardAttrib, len(ms.cores))
 		if mc.Ledger != nil {
 			ss.reserve = ms.reserveBudget
@@ -280,8 +283,10 @@ func (ms *MultiSystem) buildDomains() {
 	}
 	ms.de = sim.NewDomainEngine(ms.eng, workers)
 	ms.de.SetWindowCap(ms.mc.WindowCap)
+	de := ms.de
 	for _, s := range ms.cores {
-		ms.de.Add(coreDomain{s.proc})
+		i := de.Add(coreDomain{s.proc})
+		s.proc.SetOnArm(func(at sim.Cycle) { de.Arm(i, at) })
 	}
 	ms.reserveBudget(ms.de.ScratchBytes())
 }

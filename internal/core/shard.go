@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"ulmt/internal/checkpoint"
 	"ulmt/internal/dram"
@@ -110,6 +109,10 @@ type shardSet struct {
 	// pendingDeliver marks cores with a drain event scheduled, so a
 	// burst of staged misses costs one event, not one per miss.
 	pendingDeliver []bool
+	// waiting counts each core's pushes across every shard's ring, so
+	// a controller polling for its next push skips the ring scan when
+	// it has none.
+	waiting []int
 	// inFlight counts scheduled deposit events not yet fired, for the
 	// checkpoint idle test.
 	inFlight int
@@ -122,19 +125,21 @@ type shardSet struct {
 	faults   *fault.Plan
 	inj      fault.Injected
 
-	// owner maps each trained table row group (keyed by rowOf, the
-	// set index when the shared algorithm exposes one — cores have
-	// disjoint address spaces, so full lines never collide; sets do)
-	// to the core whose observation last trained it; attrib
-	// accumulates the per-core cross-core sharing/pollution counters
-	// built from it (stats.ShardAttrib). reserve, when non-nil,
-	// charges owner-map growth to the run's memory budget in
-	// ownerChunk-entry steps.
-	owner         map[uint64]int32
-	rowOf         func(mem.Line) uint64
-	attrib        []stats.ShardAttrib
-	reserve       func(delta int64)
-	ownerReserved int
+	// owner records, per table set of the shared algorithm (rowOf;
+	// cores have disjoint address spaces, so full lines never collide
+	// while sets do), 1 + the core whose observation last trained it,
+	// 0 for a set never trained; attrib accumulates the per-core
+	// cross-core sharing/pollution counters built from it
+	// (stats.ShardAttrib). A flat slice of rowKeys entries, allocated
+	// on first use and charged to the run's memory budget through
+	// reserve, when non-nil. An algorithm without set geometry
+	// (rowOf nil) keys rows by full line, which no two cores share, so
+	// all its emits are local and no owner table is kept.
+	owner   []int32
+	rowOf   func(mem.Line) uint64
+	rowKeys int
+	attrib  []stats.ShardAttrib
+	reserve func(delta int64)
 
 	// emits/obs/collect mirror System.ulmtEmits and friends: one
 	// reusable emit buffer, safe because sessions run synchronously
@@ -179,10 +184,11 @@ func newShardSet(eng *sim.Engine, cfg Config, alg prefetch.Algorithm, nsh, batch
 		q3cap:      cfg.QueueDepth,
 	}
 	ss.issueDelay = cfg.MemProc.PrefetchToDRAM
-	if rk, ok := alg.(interface{ RowKey(mem.Line) uint64 }); ok {
-		ss.rowOf = rk.RowKey
-	} else {
-		ss.rowOf = func(l mem.Line) uint64 { return uint64(l) }
+	if rk, ok := alg.(interface {
+		RowKey(mem.Line) uint64
+		RowKeys() int
+	}); ok {
+		ss.rowOf, ss.rowKeys = rk.RowKey, rk.RowKeys()
 	}
 	for i := range ss.shards {
 		d, err := dram.New(cfg.DRAM)
@@ -307,13 +313,20 @@ func (ss *shardSet) process(core int, line mem.Line) {
 	ss.eng.Schedule(respAt, ss, kdDeposit, sim.Event{P: job})
 }
 
-// ownerChunk is the owner-map budget-accounting granularity: growth
-// is charged per chunk of entries, at a conservative retained size
-// per entry (key + value + Go map overhead).
-const (
-	ownerChunk      = 4096
-	ownerEntryBytes = 64
-)
+// ownerEntryBytes is the retained size of one owner-table entry.
+const ownerEntryBytes = 4
+
+// ownerTable returns the owner table, allocating it (and charging it
+// to the memory budget) on first use.
+func (ss *shardSet) ownerTable() []int32 {
+	if ss.owner == nil {
+		ss.owner = make([]int32, ss.rowKeys)
+		if ss.reserve != nil {
+			ss.reserve(int64(ss.rowKeys) * ownerEntryBytes)
+		}
+	}
+	return ss.owner
+}
 
 // attribute books one processed observation into the per-core
 // sharing/pollution counters: emits charge to the training origin of
@@ -326,26 +339,19 @@ func (ss *shardSet) attribute(core int, line mem.Line, emits int) {
 	if ss.attrib == nil {
 		return
 	}
-	key := ss.rowOf(line)
-	prev, had := ss.owner[key]
-	if had && int(prev) != core {
-		ss.attrib[core].RowTakeovers++
-		ss.attrib[core].CrossEmits += uint64(emits)
+	a := &ss.attrib[core]
+	if ss.rowOf == nil {
+		a.LocalEmits += uint64(emits)
+		return
+	}
+	o := &ss.ownerTable()[ss.rowOf(line)]
+	if *o != 0 && int(*o) != core+1 {
+		a.RowTakeovers++
+		a.CrossEmits += uint64(emits)
 	} else {
-		ss.attrib[core].LocalEmits += uint64(emits)
+		a.LocalEmits += uint64(emits)
 	}
-	if !had {
-		if ss.owner == nil {
-			ss.owner = make(map[uint64]int32)
-		}
-		if ss.reserve != nil && len(ss.owner) >= ss.ownerReserved {
-			ss.reserve(int64(ownerChunk) * ownerEntryBytes)
-			ss.ownerReserved += ownerChunk
-		}
-	}
-	if !had || int(prev) != core {
-		ss.owner[key] = int32(core)
-	}
+	*o = int32(core + 1)
 }
 
 // pushQ3 admits one post-Filter prefetch into the owning shard's push
@@ -365,6 +371,7 @@ func (ss *shardSet) pushQ3(l mem.Line, core int, origin *System) {
 	}
 	ss.seq++
 	sh.q3 = append(sh.q3, shardPush{line: l, core: core, seq: ss.seq})
+	ss.waiting[core]++
 }
 
 // popPushFor removes and returns the originating core's oldest
@@ -372,6 +379,9 @@ func (ss *shardSet) pushQ3(l mem.Line, core int, origin *System) {
 // sequence-ordered, so the first match per shard is that shard's
 // oldest.
 func (ss *shardSet) popPushFor(core int) (mem.Line, bool) {
+	if ss.waiting[core] == 0 {
+		return 0, false
+	}
 	bestShard, bestIdx := -1, -1
 	var bestSeq uint64
 	for si := range ss.shards {
@@ -392,6 +402,7 @@ func (ss *shardSet) popPushFor(core int) (mem.Line, bool) {
 	q := ss.shards[bestShard].q3
 	l := q[bestIdx].line
 	ss.shards[bestShard].q3 = append(q[:bestIdx], q[bestIdx+1:]...)
+	ss.waiting[core]--
 	return l, true
 }
 
@@ -403,6 +414,7 @@ func (ss *shardSet) cancelPush(l mem.Line, core int) bool {
 	for i := range sh.q3 {
 		if sh.q3[i].line == l && sh.q3[i].core == core {
 			sh.q3 = append(sh.q3[:i], sh.q3[i+1:]...)
+			ss.waiting[core]--
 			return true
 		}
 	}
@@ -488,17 +500,19 @@ func (ss *shardSet) snapshot(w *checkpoint.Writer) {
 		w.U64(a.CrossEmits)
 		w.U64(a.RowTakeovers)
 	}
-	// Row-owner map, in sorted key order so the payload bytes are a
-	// pure function of state.
-	w.Int(len(ss.owner))
-	keys := make([]uint64, 0, len(ss.owner))
-	for k := range ss.owner {
-		keys = append(keys, k)
+	// Trained row owners as (set, core) pairs in set order.
+	trained := 0
+	for _, o := range ss.owner {
+		if o != 0 {
+			trained++
+		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		w.U64(k)
-		w.Int(int(ss.owner[k]))
+	w.Int(trained)
+	for k, o := range ss.owner {
+		if o != 0 {
+			w.U64(uint64(k))
+			w.Int(int(o) - 1)
+		}
 	}
 }
 
@@ -531,7 +545,15 @@ func (ss *shardSet) restore(r *checkpoint.Reader) {
 		sh.q3 = sh.q3[:0]
 		for j := 0; j < k; j++ {
 			e := shardPush{line: mem.Line(r.U64()), core: r.Int(), seq: r.U64()}
+			if r.Err() != nil {
+				return
+			}
+			if e.core < 0 || e.core >= len(ss.waiting) {
+				r.Failf("shard push for core %d of %d", e.core, len(ss.waiting))
+				return
+			}
 			sh.q3 = append(sh.q3, e)
+			ss.waiting[e.core]++
 		}
 	}
 	na := r.Int()
@@ -551,17 +573,23 @@ func (ss *shardSet) restore(r *checkpoint.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if no < 0 || no > 1<<28 {
-		r.Failf("implausible row-owner map size %d", no)
+	if no < 0 || no > ss.rowKeys {
+		r.Failf("implausible row-owner count %d of %d sets", no, ss.rowKeys)
 		return
 	}
-	ss.owner = make(map[uint64]int32, no)
-	for j := 0; j < no; j++ {
-		ss.owner[r.U64()] = int32(r.Int())
+	if no == 0 {
+		return
 	}
-	if ss.reserve != nil && no > 0 {
-		chunks := (no + ownerChunk - 1) / ownerChunk
-		ss.ownerReserved = chunks * ownerChunk
-		ss.reserve(int64(ss.ownerReserved) * ownerEntryBytes)
+	owner := ss.ownerTable()
+	for j := 0; j < no; j++ {
+		k, c := r.U64(), r.Int()
+		if r.Err() != nil {
+			return
+		}
+		if k >= uint64(len(owner)) || c < 0 || c >= len(ss.attrib) {
+			r.Failf("row owner (%d, %d) out of range", k, c)
+			return
+		}
+		owner[k] = int32(c + 1)
 	}
 }

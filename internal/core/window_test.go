@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -228,36 +229,55 @@ func TestShardAttribConservation(t *testing.T) {
 	}
 }
 
+// windowFuzzSeeds is FuzzWindowEquivalence's seed corpus, shared
+// with TestArmedSetInvariant.
+var windowFuzzSeeds = [][]byte{
+	{2, 1, 3, 0, 100, 101},
+	{3, 0, 4, 16, 7, 8, 9, 10, 11, 12},
+	{2, 2, 2, 1, 255, 0, 127, 64},
+}
+
+// windowFuzzMachine decodes fuzz data into a machine shape (core
+// count, shard count, prefetcher layout), a worker count and a window
+// cap. ok is false for data too short to decode.
+func windowFuzzMachine(data []byte) (mk func() MulticoreConfig, intra int, wcap sim.Cycle, ok bool) {
+	if len(data) < 5 {
+		return nil, 0, 0, false
+	}
+	ncores := 2 + int(data[0])%3 // 2..4
+	nshards := int(data[1]) % 4  // 0 = private tables
+	intra = 2 + int(data[2])%3   // 2..4 workers
+	wcap = sim.Cycle(data[3]) * 8
+	body := data[4:]
+	if len(body) > 1200 {
+		body = body[:1200]
+	}
+	var streams [][]workload.Op
+	for i := 0; i < ncores; i++ {
+		streams = append(streams, randomOps(append([]byte{byte(i)}, body...)))
+	}
+	mk = func() MulticoreConfig {
+		if nshards == 0 {
+			return privateConfig(streams)
+		}
+		return shardedConfig(streams, nshards, false)
+	}
+	return mk, intra, wcap, true
+}
+
 // FuzzWindowEquivalence sweeps machine shape (core count, shard
 // count, prefetcher layout), window cap, and worker count from fuzz
 // data, asserting the windowed schedule's results are byte-identical
 // to the intra-j 1, uncapped reference. Run under -race this also
 // hunts for stretch/shared-state conflicts.
 func FuzzWindowEquivalence(f *testing.F) {
-	f.Add([]byte{2, 1, 3, 0, 100, 101})
-	f.Add([]byte{3, 0, 4, 16, 7, 8, 9, 10, 11, 12})
-	f.Add([]byte{2, 2, 2, 1, 255, 0, 127, 64})
+	for _, seed := range windowFuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 5 {
+		mk, intra, wcap, ok := windowFuzzMachine(data)
+		if !ok {
 			return
-		}
-		ncores := 2 + int(data[0])%3 // 2..4
-		nshards := int(data[1]) % 4  // 0 = private tables
-		intra := 2 + int(data[2])%3  // 2..4 workers
-		wcap := sim.Cycle(data[3]) * 8
-		body := data[4:]
-		if len(body) > 1200 {
-			body = body[:1200]
-		}
-		var streams [][]workload.Op
-		for i := 0; i < ncores; i++ {
-			streams = append(streams, randomOps(append([]byte{byte(i)}, body...)))
-		}
-		mk := func() MulticoreConfig {
-			if nshards == 0 {
-				return privateConfig(streams)
-			}
-			return shardedConfig(streams, nshards, false)
 		}
 		want := runMC(t, mk())
 		mc := mk()
@@ -268,4 +288,51 @@ func FuzzWindowEquivalence(f *testing.F) {
 			t.Fatalf("windowed run (intra-j %d, cap %d) diverges from reference", intra, wcap)
 		}
 	})
+}
+
+// TestArmedSetInvariant steps the fuzz corpus's machines, plus one
+// tiny-scale kernel mix, one DomainEngine unit at a time at -intra-j 1
+// and 4, and checks after every step that the engine's armed set —
+// each core's mirrored step register and the cached earliest one —
+// equals a full scan of the cores, and that the results match Run's.
+func TestArmedSetInvariant(t *testing.T) {
+	type machine struct {
+		name string
+		mk   func() MulticoreConfig
+		wcap sim.Cycle
+	}
+	var machines []machine
+	for si, seed := range windowFuzzSeeds {
+		mk, _, wcap, _ := windowFuzzMachine(seed)
+		machines = append(machines, machine{fmt.Sprintf("seed#%d", si), mk, wcap})
+	}
+	machines = append(machines, machine{"2core/shared2", goldenMachines(t)["2core/shared2"], 0})
+	for _, m := range machines {
+		want := runMC(t, m.mk())
+		for _, intra := range []int{1, 4} {
+			mc := m.mk()
+			mc.IntraJ = intra
+			mc.WindowCap = m.wcap
+			ms, err := NewMultiSystem(mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms.start()
+			steps := 0
+			for {
+				if err := ms.de.CheckArmed(); err != nil {
+					t.Fatalf("%s, intra-j %d, after %d steps: %v", m.name, intra, steps, err)
+				}
+				if !ms.de.Step() {
+					break
+				}
+				steps++
+			}
+			got := ms.collect()
+			ms.releaseRun()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, intra-j %d: stepped results diverge from Run", m.name, intra)
+			}
+		}
+	}
 }

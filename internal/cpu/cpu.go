@@ -214,6 +214,8 @@ type Processor struct {
 	// inside a concurrent stretch until the sequential barrier.
 	onBufGrow func(delta int64)
 	bufGrown  int64
+	// onArm, when set, is told every engine-clock arm (SetOnArm).
+	onArm func(at sim.Cycle)
 }
 
 // New builds a processor over the op stream. Call Start to begin.
@@ -280,6 +282,9 @@ func (p *Processor) scheduleStep(d sim.Cycle) {
 	p.stepAt = p.eng.Now() + d
 	if p.windowed {
 		p.armed = true
+		if p.onArm != nil {
+			p.onArm(p.stepAt)
+		}
 		return
 	}
 	p.eng.ScheduleAfter(d, p, kindStep, sim.Event{})

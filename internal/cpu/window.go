@@ -69,6 +69,12 @@ func (p *Processor) SetWindowProbe(probe func(a mem.Addr, write bool) (rt sim.Cy
 // parallel mode.
 func (p *Processor) SetOnBufGrow(f func(delta int64)) { p.onBufGrow = f }
 
+// SetOnArm installs the callback told the due cycle whenever the
+// processor arms its step register on the engine clock — the
+// DomainEngine's armed-set update (sim.DomainEngine.Arm). Re-arms at
+// the end of a stretch do not call it; the window barrier reads them.
+func (p *Processor) SetOnArm(f func(at sim.Cycle)) { p.onArm = f }
+
 // Armed reports the armed step register: the due cycle of the next
 // issue-cycle step, and whether one is armed at all (a blocked,
 // draining, or finished core has none).
@@ -149,13 +155,31 @@ func (p *Processor) RunStretch(horizon sim.Cycle) {
 	p.stretching = false
 }
 
+// Handoff reports the engine-clock handoff the last stretch latched:
+// the miss-resume at its miss cycle or the finish at its retirement
+// cycle. A stretch latches at most one — a miss ends it, and a
+// finished stream leaves nothing else to run.
+func (p *Processor) Handoff() (sim.Cycle, bool) {
+	switch {
+	case p.strMissed:
+		return p.strMissAt, true
+	case p.strFinished:
+		return p.strFinishAt, true
+	}
+	return 0, false
+}
+
 // CommitStretch publishes a finished stretch's cross-domain effects
 // into the event queue: buffered L1-hit completions in issue order,
-// then the miss-resume handoff, then the finish notification. The
-// DomainEngine calls it at the window barrier in core-id order — the
-// sequential part of every window — so queue insertion order, and
-// with it all downstream tie-breaking, is canonical.
-func (p *Processor) CommitStretch() {
+// then the handoff (miss-resume or finish). The DomainEngine calls it
+// at the window barrier in core-id order — the sequential part of
+// every window — so queue insertion order, and with it all downstream
+// tie-breaking, is canonical. Buffered completions are all due after
+// the handoff cycle (completions due at a miss cycle fired before its
+// step; a finished stream has none), the ordering the DomainEngine's
+// direct handoff relies on. With keepHandoff the handoff stays
+// latched for FireHandoff instead of entering the queue.
+func (p *Processor) CommitStretch(keepHandoff bool) {
 	if p.bufGrown != 0 {
 		p.onBufGrow(p.bufGrown)
 		p.bufGrown = 0
@@ -167,6 +191,9 @@ func (p *Processor) CommitStretch() {
 	}
 	p.ring = p.ring[:0]
 	p.ringHead = 0
+	if keepHandoff {
+		return
+	}
 	if p.strMissed {
 		p.strMissed = false
 		p.eng.Schedule(p.strMissAt, p, kindMissResume, sim.Event{I0: uint64(p.strIssued)})
@@ -175,4 +202,17 @@ func (p *Processor) CommitStretch() {
 		p.strFinished = false
 		p.eng.Schedule(p.strFinishAt, p, kindFinish, sim.Event{})
 	}
+}
+
+// FireHandoff runs the handoff CommitStretch withheld, exactly as its
+// kindMissResume or kindFinish event would have: the DomainEngine has
+// advanced the engine clock to its cycle and counted it as fired.
+func (p *Processor) FireHandoff() {
+	if p.strMissed {
+		p.strMissed = false
+		p.Fire(kindMissResume, sim.Event{I0: uint64(p.strIssued)})
+		return
+	}
+	p.strFinished = false
+	p.Fire(kindFinish, sim.Event{})
 }

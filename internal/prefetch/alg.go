@@ -142,6 +142,13 @@ func (r *Repl) Learn(m mem.Line, s table.Sink) { r.T.Learn(m, s) }
 // row ownership on it.
 func (r *Repl) RowKey(m mem.Line) uint64 { return r.T.SetOf(m) }
 
+// RowKeys is the number of distinct RowKey values: the table's set
+// count.
+func (r *Repl) RowKeys() int {
+	p := r.T.Params()
+	return p.NumRows / p.Assoc
+}
+
 // Combined chains two ULMT algorithms, running First's steps before
 // Second's. The CG customization of Table 5 is
 // Combined{Seq1, Repl} in Verbose mode.

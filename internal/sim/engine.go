@@ -26,9 +26,10 @@
 //     (startup, rare retries, test scaffolding).
 //
 // Events are stored in a hierarchical time-bucket wheel (see
-// wheel.go) sized for the short bounded latencies that dominate a
-// memory-system simulation, with a spill heap for far-future events
-// such as multiprogramming timeslices.
+// wheel.go): per-cycle buckets sized for the short bounded latencies
+// that dominate a memory-system simulation, a coarse far level for
+// delays of a few thousand to ~2M cycles, and a spill heap for
+// far-future events such as multiprogramming timeslices.
 package sim
 
 // Cycle is a point in simulated time, in 1.6 GHz main-processor
@@ -171,7 +172,7 @@ func (e *Engine) push(c Cycle, kind Kind, i0, i1 uint64, p any, a Actor) {
 	if e.legacy != nil {
 		e.legacy.push(&ev)
 	} else {
-		e.wheel.over.push(&ev)
+		e.wheel.spill(&ev)
 	}
 }
 
@@ -228,6 +229,31 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
+	e.fire(&ev)
+	return true
+}
+
+// stepDue is the fused peek-and-pop: it fires the earliest event only
+// if it is due no later than limit. Either way it reports the earliest
+// pending cycle as of the call (pending is false on an empty queue),
+// so a caller choosing between the queue and another source of work
+// scans the queue once instead of a NextAt followed by a Step.
+func (e *Engine) stepDue(limit Cycle) (next Cycle, pending, fired bool) {
+	var ev event
+	if e.legacy != nil {
+		if next, pending = e.legacy.peekAt(); !pending || next > limit {
+			return next, pending, false
+		}
+		e.legacy.pop(&ev)
+	} else if next, pending, fired = e.wheel.popDue(&ev, limit); !fired {
+		return next, pending, false
+	}
+	e.fire(&ev)
+	return next, true, true
+}
+
+// fire executes a popped event at its cycle.
+func (e *Engine) fire(ev *event) {
 	e.now = ev.at
 	e.fired++
 	if ev.actor != nil {
@@ -235,7 +261,27 @@ func (e *Engine) Step() bool {
 	} else {
 		ev.p.(func())()
 	}
-	return true
+}
+
+// dispatch accounts for an event the caller fires at cycle c without
+// queueing it, right after this call: the caller has proven the event
+// would be the very next one the queue pops — no pending event
+// precedes c, and none at c was scheduled before it — so the push/pop
+// round trip is skipped. The clock moves to c, and the event still
+// consumes a sequence number and counts in Fired, exactly as the
+// queued event would have.
+func (e *Engine) dispatch(c Cycle) {
+	if c < e.now {
+		panic("sim: dispatch into the past")
+	}
+	// AdvanceTo without its pending-event check: the caller's proof
+	// covers it, and this runs once per committed miss.
+	e.now = c
+	if e.legacy == nil {
+		e.wheel.advanceTo(c)
+	}
+	e.seq++
+	e.fired++
 }
 
 // peekAt returns the cycle of the earliest pending event.

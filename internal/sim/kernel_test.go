@@ -18,14 +18,19 @@ func (s *splitmix64) next() uint64 {
 
 // chaosActor drives a deterministic but adversarial schedule: every
 // fire logs itself and reschedules with a pseudo-random horizon
-// drawn from a mix of short (in-window), boundary (around wheelSize)
-// and far-future (overflow) delays, including zero-delay same-cycle
-// chains.
+// drawn from a mix of short (in-window), boundary and far-future
+// delays, including zero-delay same-cycle chains. The boundaries are
+// the near window's size (4095/4096 cycles), the span-aligned near
+// and far limits the wheel cascades at (±1), and beyond the far
+// level's reach (the overflow heap). Far targets are remembered and
+// later re-targeted exactly, so an event cascaded from the far level
+// ties at its cycle with one scheduled after the cascade.
 type chaosActor struct {
 	eng    *Engine
 	rng    *splitmix64
 	budget int
 	log    []uint64
+	far    [8]Cycle // recent targets beyond the near window
 }
 
 func (a *chaosActor) Fire(kind Kind, ev Event) {
@@ -33,11 +38,16 @@ func (a *chaosActor) Fire(kind Kind, ev Event) {
 	if a.budget <= 0 {
 		return
 	}
+	now := a.eng.Now()
+	// The window limits as the wheel computes them, from the clock:
+	// both backends must draw identical delays.
+	nearLim := (now>>spanBits + nearSpans) << spanBits
+	farLim := nearLim + farSpans*spanSize
 	n := int(a.rng.next()%3) + 1
 	for i := 0; i < n && a.budget > 0; i++ {
 		a.budget--
 		var d Cycle
-		switch a.rng.next() % 8 {
+		switch a.rng.next() % 14 {
 		case 0:
 			d = 0 // same-cycle chain
 		case 1, 2, 3:
@@ -45,9 +55,26 @@ func (a *chaosActor) Fire(kind Kind, ev Event) {
 		case 4, 5:
 			d = Cycle(a.rng.next() % wheelSize) // anywhere in window
 		case 6:
-			d = wheelSize - 2 + Cycle(a.rng.next()%5) // window boundary
+			d = wheelSize - 2 + Cycle(a.rng.next()%5) // window size, incl. 4095 and 4096
+		case 7:
+			d = nearLim - now - 1 + Cycle(a.rng.next()%3) // near-limit cascade edge ±1
+		case 8:
+			d = farLim - now - 1 + Cycle(a.rng.next()%3) // far-reach edge ±1
+		case 9:
+			d = wheelSize + Cycle(a.rng.next()%(farSpans*spanSize)) // far level
+		case 10:
+			// Re-target a remembered far cycle: a tie with an event
+			// that has since cascaded (or still sits in the far level).
+			if t := a.far[a.rng.next()%uint64(len(a.far))]; t >= now {
+				d = t - now
+			}
+		case 11:
+			d = farLim - now + Cycle(a.rng.next()%(4*farSpans*spanSize)) // beyond the far reach
 		default:
-			d = wheelSize + Cycle(a.rng.next()%500000) // overflow
+			d = wheelSize + Cycle(a.rng.next()%500000) // far level or overflow
+		}
+		if d >= nearLim-now {
+			a.far[a.rng.next()%uint64(len(a.far))] = now + d
 		}
 		a.eng.ScheduleAfter(d, a, Kind(a.rng.next()%7), Event{I0: a.rng.next() % 256})
 	}
@@ -226,6 +253,39 @@ func TestZeroAllocScheduling(t *testing.T) {
 			avg := testing.AllocsPerRun(200, func() { e.Step() })
 			if avg != 0 {
 				t.Fatalf("steady-state scheduling allocates %.2f allocs/event, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestZeroAllocFarFuture extends the allocation gate to the far level
+// and the overflow heap: a steady chain of deposits tens of thousands
+// to millions of cycles ahead — the sharded ULMT's backlog pattern —
+// cascades without touching the heap.
+func TestZeroAllocFarFuture(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    Cycle
+	}{
+		{"far", 1 << 16},
+		{"far-reach", farSpans*spanSize - spanSize},
+		{"beyond-reach", 1 << 23},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			var as [4]selfActor
+			for i := range as {
+				as[i] = selfActor{eng: e, d: tc.d + Cycle(i)}
+				e.Schedule(Cycle(i), &as[i], 1, Event{P: &as[i]})
+			}
+			// Warm a full far-level lap so every span and bucket the
+			// chains visit has its backing array.
+			for i := 0; i < 4*(farSpans+64); i++ {
+				e.Step()
+			}
+			avg := testing.AllocsPerRun(200, func() { e.Step() })
+			if avg != 0 {
+				t.Fatalf("far-future scheduling allocates %.2f allocs/event, want 0", avg)
 			}
 		})
 	}

@@ -5,14 +5,24 @@ import "math/bits"
 // The wheel exploits the latency profile of a memory-system
 // simulator: almost every delay is a short bounded latency (cache
 // round trips of a few cycles, bus slots of tens, DRAM accesses of a
-// couple hundred, ULMT sessions of a few thousand), so a window of
-// wheelSize cycles ahead of the clock catches essentially all
-// traffic. Only rare far-future events — multiprogramming timeslices,
-// fault schedules — spill to the overflow heap.
+// couple hundred, ULMT sessions of a few thousand), so a near level of
+// wheelSize per-cycle buckets ahead of the clock catches essentially
+// all traffic. Delays of a few thousand to ~2M cycles — the sharded
+// ULMT's FIFO time servers deposit that far ahead under load — land in
+// a coarse far level of spanSize-cycle spans, appended in O(1) and
+// cascaded into the near level span by span. Only truly far-future
+// events (multiprogramming timeslices, fault schedules) reach the
+// overflow heap.
 const (
 	wheelBits = 12
-	wheelSize = 1 << wheelBits // 4096-cycle window
+	wheelSize = 1 << wheelBits // near-level buckets
 	wheelMask = wheelSize - 1
+
+	spanBits  = 10
+	spanSize  = 1 << spanBits        // cycles per far-level span
+	nearSpans = wheelSize / spanSize // spans the near level holds
+	farSpans  = 2048                 // far-level reach, in spans
+	farMask   = farSpans - 1
 )
 
 // bucket holds the events of exactly one cycle, in scheduling order.
@@ -23,34 +33,51 @@ type bucket struct {
 	head int
 }
 
-// wheel is a single-level time wheel over [base, base+wheelSize) with
-// a two-level occupancy bitmap and a spill heap for events at or
-// beyond base+wheelSize.
+// wheel is a two-level time wheel with a two-level occupancy bitmap
+// over the near level and a spill heap for events beyond the far
+// level's reach. Window limits are span-aligned: with s the span
+// holding base, the near level covers [base, nearLimit) where
+// nearLimit = (s+nearSpans)*spanSize — more than wheelSize-spanSize
+// and at most wheelSize cycles, so near buckets still map one-to-one
+// to cycles — and the far level covers the farSpans whole spans after
+// it, [nearLimit, farLimit). The overflow heap holds [farLimit, ∞).
 //
 // Invariants:
 //
 //   - base only advances, and only to a cycle with no earlier pending
-//     event (the earliest wheel event, the overflow minimum when the
-//     wheel is empty, or a RunUntil deadline that all events precede).
-//   - Bucket at&wheelMask maps one-to-one to cycles inside the
+//     event (the earliest wheel event, the far or overflow minimum
+//     when the near level is empty, or a RunUntil deadline that all
+//     events precede).
+//   - Bucket at&wheelMask maps one-to-one to cycles inside the near
 //     window, so per-bucket append order is per-cycle FIFO order.
-//   - Every overflow event is at >= base+wheelSize, i.e. strictly
-//     after every wheel event. advanceTo re-establishes this by
-//     spilling before any event of the new window fires, which is
-//     what keeps same-cycle FIFO exact across the spill boundary: a
-//     spilled event can never share a cycle with one inserted under
-//     the old window, and events inserted after the spill carry
-//     larger seq and append behind it.
+//   - Every far event is at >= nearLimit and every overflow event at
+//     >= farLimit: the levels are ordered in time. A far span holds
+//     its events in scheduling (seq) order.
+//   - Cascade: advanceTo moves every far span the near window now
+//     covers into the near buckets, then spills every overflow event
+//     the far reach now covers, before any event of the new window
+//     fires or is scheduled. An event can only be scheduled into the
+//     near level at cycle c once nearLimit > c, and by then every
+//     older event at c has been cascaded ahead of it, so same-cycle
+//     FIFO stays exact across both boundaries. The same argument
+//     applies one level up: an overflow event spills into its far
+//     span when the span comes into reach, before anything else can
+//     be scheduled there.
 type wheel struct {
-	base    Cycle
-	count   int // events resident in buckets
-	summary uint64
-	words   [wheelSize / 64]uint64
-	buckets [wheelSize]bucket
-	over    overflowHeap
+	base     Cycle
+	count    int // events resident in near buckets
+	summary  uint64
+	words    [wheelSize / 64]uint64
+	buckets  [wheelSize]bucket
+	far      [farSpans][]event
+	farCount int // events resident in far spans
+	over     overflowHeap
 }
 
-func (w *wheel) len() int { return w.count + w.over.len() }
+func (w *wheel) len() int { return w.count + w.farCount + w.over.len() }
+
+// nearLimit is the first cycle past the near window.
+func (w *wheel) nearLimit() Cycle { return (w.base>>spanBits + nearSpans) << spanBits }
 
 func (w *wheel) mark(idx int) {
 	w.words[idx>>6] |= 1 << uint(idx&63)
@@ -64,28 +91,16 @@ func (w *wheel) clear(idx int) {
 	}
 }
 
-// push files ev into its bucket, or spills it when it lies beyond the
-// window. The engine guarantees ev.at >= now >= base. The pointer
-// parameter keeps the entry from being copied at every call boundary
-// on the way in; push still stores a copy, never retains ev.
-func (w *wheel) push(ev *event) {
-	if sl := w.slot(ev.at); sl != nil {
-		*sl = *ev
-		return
-	}
-	w.over.push(ev)
-}
-
 // slot reserves the next entry of at's bucket and returns it for
 // in-place construction — the engine writes event fields straight
 // into the bucket, skipping the stack-temporary copy a push-by-value
 // would cost on every scheduled event. Returns nil when at lies
-// beyond the window; the caller spills to the overflow heap. The
-// caller must assign every field: a reused slot still holds the stale
-// scalars of the event that last occupied it (pop only clears the
-// pointer-shaped fields).
+// beyond the near window; the caller spills. The caller must assign
+// every field: a reused slot still holds the stale scalars of the
+// event that last occupied it (pop only clears the pointer-shaped
+// fields). The engine guarantees at >= now >= base.
 func (w *wheel) slot(at Cycle) *event {
-	if at-w.base >= wheelSize {
+	if at >= w.nearLimit() {
 		return nil
 	}
 	idx := int(at) & wheelMask
@@ -100,7 +115,30 @@ func (w *wheel) slot(at Cycle) *event {
 	return &b.ev[len(b.ev)-1]
 }
 
-// first returns the bucket index of the earliest wheel event, or -1
+// spill files an event beyond the near window: into its far span when
+// within reach, else into the overflow heap. The pointer parameter
+// keeps the entry from being copied at every call boundary on the way
+// in; spill stores a copy, never retains ev.
+func (w *wheel) spill(ev *event) {
+	if ev.at < w.nearLimit()+farSpans*spanSize {
+		sp := &w.far[(ev.at>>spanBits)&farMask]
+		*sp = append(*sp, *ev)
+		w.farCount++
+		return
+	}
+	w.over.push(ev)
+}
+
+// file appends ev to its near bucket; cascades and spills use it.
+func (w *wheel) file(ev *event) {
+	idx := int(ev.at) & wheelMask
+	b := &w.buckets[idx]
+	b.ev = append(b.ev, *ev)
+	w.mark(idx)
+	w.count++
+}
+
+// first returns the bucket index of the earliest near event, or -1
 // when the buckets are empty. The bitmap is scanned in time order:
 // from the base position to the end of the window, then wrapping.
 func (w *wheel) first() int {
@@ -141,12 +179,25 @@ func (w *wheel) cycleOf(idx int) Cycle {
 	return w.base + Cycle(d)
 }
 
-// peekAt reports the earliest pending cycle. Wheel events always
-// precede overflow events (invariant above), so the buckets win
-// whenever they are non-empty.
-func (w *wheel) peekAt() (Cycle, bool) {
-	if w.count > 0 {
-		return w.cycleOf(w.first()), true
+// farMin reports the earliest event beyond the near window: the
+// minimum of the first occupied far span (spans hold seq order, not
+// time order, so this scans one span), else the overflow minimum.
+// Only consulted when the near level is empty.
+func (w *wheel) farMin() (Cycle, bool) {
+	if w.farCount > 0 {
+		for s := w.base>>spanBits + nearSpans; ; s++ {
+			sp := w.far[s&farMask]
+			if len(sp) == 0 {
+				continue
+			}
+			m := sp[0].at
+			for i := 1; i < len(sp); i++ {
+				if sp[i].at < m {
+					m = sp[i].at
+				}
+			}
+			return m, true
+		}
 	}
 	if w.over.len() > 0 {
 		return w.over.minAt(), true
@@ -154,41 +205,92 @@ func (w *wheel) peekAt() (Cycle, bool) {
 	return 0, false
 }
 
-// advanceTo moves the window start to t and spills every overflow
-// event that now falls inside [t, t+wheelSize). Callers must
-// guarantee no pending event precedes t. Spilled events pop from the
-// overflow heap in (at, seq) order, so same-cycle groups land in
-// their buckets already in FIFO order.
+// peekAt reports the earliest pending cycle. The levels are ordered
+// in time (invariant above), so the near buckets win whenever they
+// are non-empty.
+func (w *wheel) peekAt() (Cycle, bool) {
+	if w.count > 0 {
+		return w.cycleOf(w.first()), true
+	}
+	return w.farMin()
+}
+
+// advanceTo moves the window start to t, cascading the far spans and
+// spilling the overflow events the moved limits now cover. Callers
+// must guarantee no pending event precedes t. Re-anchoring within the
+// same span — the common case, every time the clock moves — leaves
+// both limits unchanged and costs nothing more.
 func (w *wheel) advanceTo(t Cycle) {
+	from := w.base>>spanBits + nearSpans // first span past the old near window
 	w.base = t
-	limit := t + wheelSize
-	for w.over.len() > 0 && w.over.minAt() < limit {
+	to := t>>spanBits + nearSpans
+	if to == from {
+		return
+	}
+	// Spans past the old far reach were never far-resident.
+	end := to
+	if end > from+farSpans {
+		end = from + farSpans
+	}
+	for s := from; s < end && w.farCount > 0; s++ {
+		sp := &w.far[s&farMask]
+		for i := range *sp {
+			ev := &(*sp)[i]
+			w.file(ev)
+			ev.p, ev.actor = nil, nil // release payload references
+		}
+		w.farCount -= len(*sp)
+		*sp = (*sp)[:0]
+	}
+	// Overflow events pop in (at, seq) order, so each same-cycle group
+	// lands in its bucket or span already in FIFO order.
+	nearLim := to << spanBits
+	farLim := nearLim + farSpans*spanSize
+	for w.over.len() > 0 && w.over.minAt() < farLim {
 		ev := w.over.pop()
-		idx := int(ev.at) & wheelMask
-		b := &w.buckets[idx]
-		b.ev = append(b.ev, ev)
-		w.mark(idx)
-		w.count++
+		if ev.at < nearLim {
+			w.file(&ev)
+		} else {
+			sp := &w.far[(ev.at>>spanBits)&farMask]
+			*sp = append(*sp, ev)
+			w.farCount++
+		}
 	}
 }
 
 // pop removes the earliest event into dst, advancing the window as
-// needed. Writing through the caller's pointer (a stack slot reused
-// across the run loop) moves each entry exactly once on the way out.
+// needed.
 func (w *wheel) pop(dst *event) bool {
+	_, _, popped := w.popDue(dst, Forever)
+	return popped
+}
+
+// popDue is the fused peek-and-pop: it removes the earliest event
+// into dst only if it is due no later than limit, and otherwise
+// leaves the queue and window untouched. It reports the earliest
+// pending cycle either way (pending is false on an empty queue).
+// Writing through the caller's pointer (a stack slot reused across
+// the run loop) moves each entry exactly once on the way out.
+func (w *wheel) popDue(dst *event, limit Cycle) (next Cycle, pending, popped bool) {
 	if w.count == 0 {
-		if w.over.len() == 0 {
-			return false
+		t, ok := w.farMin()
+		if !ok || t > limit {
+			return t, ok, false
 		}
-		// Everything pending is far-future: jump the window to it.
-		w.advanceTo(w.over.minAt())
+		// Everything pending is beyond the near window: jump the
+		// window to it, which cascades it into the near buckets.
+		w.advanceTo(t)
 	}
 	idx := w.first()
-	if t := w.cycleOf(idx); t != w.base {
+	t := w.cycleOf(idx)
+	if t > limit {
+		return t, true, false
+	}
+	if t != w.base {
 		// The front of the wheel moved forward; re-anchor the window
-		// there so overflow events within reach spill in before any
-		// event of cycle t fires. Spilled events are strictly later
-		// than t, so idx still fronts the queue.
+		// there so far and overflow events within reach cascade in
+		// before any event of cycle t fires. Cascaded events are
+		// strictly later than t, so idx still fronts the queue.
 		w.advanceTo(t)
 	}
 	b := &w.buckets[idx]
@@ -205,7 +307,7 @@ func (w *wheel) pop(dst *event) bool {
 		w.clear(idx)
 	}
 	w.count--
-	return true
+	return t, true, true
 }
 
 // overflowHeap is a hand-rolled binary min-heap on (at, seq). Unlike
