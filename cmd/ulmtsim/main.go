@@ -27,14 +27,14 @@
 // stale entries.
 //
 // -mem-budget caps retained simulation memory — the recycled
-// correlation-table arena pool plus fork-family snapshot rings —
-// under one ledger (default 192 MiB, 0 = uncapped): pooled arenas
-// are evicted largest-first under pressure, and snapshot captures the
-// budget cannot afford are skipped (the follower then falls back to a
-// scratch run — slower, never wrong). An active budget also drops the
-// GC target to 50% unless -gcpercent overrides it, so GOGC headroom
-// does not re-inflate what the ledger squeezed out; the pointer-free
-// simulation heap makes the extra GC cycles effectively free.
+// correlation-table arena pool — under one ledger (default 192 MiB,
+// 0 = uncapped): pooled arenas are evicted largest-first under
+// pressure, and an arena the budget cannot afford is simply not
+// pooled (the next table allocates fresh — slower, never wrong). An
+// active budget also drops the GC target to 50% unless -gcpercent
+// overrides it, so GOGC headroom does not re-inflate what the ledger
+// squeezed out; the pointer-free simulation heap makes the extra GC
+// cycles effectively free.
 //
 // With -checkpoint-dir, completed runs are persisted as they finish
 // and SIGINT/SIGTERM checkpoints whatever is mid-flight (at the next
@@ -65,13 +65,13 @@
 // rendered report is byte-identical at either setting; only the
 // host-side event churn and wall clock move.
 //
-// -fork=off disables fork-from-warm execution (DESIGN.md
-// "Fork-from-warm execution"): with it on (the default), run-matrix
-// keys that differ from their app's Repl run only in prefetch-side
-// parameters resume from the Repl leader's in-memory snapshots instead
-// of simulating their shared prefix again. The rendered report is
-// byte-identical at either setting; the footer's forked/scratch run
-// counts show how much simulation was shared.
+// -fork=off disables identity aliasing (DESIGN.md "Identity
+// aliases"): with it on (the default), the sweep labels that build
+// exactly their app's Repl machine (Sweep/NumLevels=3 and
+// Sweep/NumRows*1) reuse the Repl run's results instead of
+// simulating it again. The rendered report is byte-identical at
+// either setting; the footer's forked/scratch run counts show how
+// many runs were aliased.
 //
 // The run matrix of the requested experiments is pre-planned and
 // executed on -j parallel workers (default: GOMAXPROCS) with live
@@ -131,7 +131,7 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "page-mapping seed")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 	fastpathFlag := flag.String("fastpath", "on", "cycle-skipping CPU fast path (on or off); off forces every cycle through the event queue (the equivalence oracle — reports are bit-identical either way)")
-	forkFlag := flag.String("fork", "on", "fork-from-warm execution (on or off); off simulates every run-matrix key from scratch (the equivalence oracle — reports are bit-identical either way)")
+	forkFlag := flag.String("fork", "on", "identity aliasing of sweep labels that build the Repl machine (on or off); off simulates every run-matrix key from scratch (the equivalence oracle — reports are bit-identical either way)")
 	faultSpec := flag.String("faults", "off", "fault plan: off, light, heavy, or key=value list (see internal/fault)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault plan's pseudo-random schedule")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -149,7 +149,7 @@ func run() error {
 	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
 	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
 	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses -cache-dir entirely (the equivalence oracle — reports are bit-identical either way)")
-	memBudget := flag.Int64("mem-budget", 192, "retained-memory budget in MiB for the arena pool and fork snapshot rings (0 = uncapped); peak heap runs about one budget above a retention-free run's baseline")
+	memBudget := flag.Int64("mem-budget", 192, "retained-memory budget in MiB for the recycled correlation-table arena pool (0 = uncapped); peak heap runs about one budget above a retention-free run's baseline")
 	flag.Parse()
 
 	switch {
@@ -345,11 +345,11 @@ func run() error {
 		cacheHits, cacheMisses, cacheStale = c.Hits(), c.Misses(), c.Stale()
 		cacheNote = fmt.Sprintf(", cache hits %d, misses %d, stale %d", cacheHits, cacheMisses, cacheStale)
 	}
-	fmt.Printf("# host: peak heap %.1f MiB, GC cycles %d, GC pause %s, wall %s, events %s (%s/s), runs retried %d, failed %d, forked %d, scratch %d, snapshot ring %.1f MiB%s\n",
+	fmt.Printf("# host: peak heap %.1f MiB, GC cycles %d, GC pause %s, wall %s, events %s (%s/s), runs retried %d, failed %d, forked %d, scratch %d%s\n",
 		float64(m.peakHeap)/(1<<20), m.gcCycles,
 		time.Duration(m.gcPauseNs).Round(time.Microsecond), wall.Round(time.Millisecond),
 		humanCount(events), rate, r.Retried(), r.Failed(),
-		r.ForkedRuns(), r.ScratchRuns(), float64(r.SnapshotRingBytes())/(1<<20), cacheNote)
+		r.ForkedRuns(), r.ScratchRuns(), cacheNote)
 
 	if *benchJSON != "" {
 		b, err := json.MarshalIndent(benchRecord{
@@ -364,22 +364,21 @@ func run() error {
 			HostVCPUs:  runtime.NumCPU(),
 			// Planned matrix keys, or (for experiments that simulate
 			// at render time, like multicore) the runs computed.
-			Runs:              max(len(keys), int(r.RunsComputed())),
-			WallSeconds:       wall.Seconds(),
-			PeakHeapMiB:       float64(m.peakHeap) / (1 << 20),
-			GCCycles:          m.gcCycles,
-			GCPauseMs:         float64(m.gcPauseNs) / 1e6,
-			EventsFired:       events,
-			Fastpath:          fastpath,
-			Fork:              fork,
-			ForkedRuns:        r.ForkedRuns(),
-			ScratchRuns:       r.ScratchRuns(),
-			SnapshotRingBytes: r.SnapshotRingBytes(),
-			Cache:             r.Cache() != nil,
-			CacheHits:         cacheHits,
-			CacheMisses:       cacheMisses,
-			CacheStale:        cacheStale,
-			ReportSHA256:      fmt.Sprintf("%x", sum.Sum(nil)),
+			Runs:         max(len(keys), int(r.RunsComputed())),
+			WallSeconds:  wall.Seconds(),
+			PeakHeapMiB:  float64(m.peakHeap) / (1 << 20),
+			GCCycles:     m.gcCycles,
+			GCPauseMs:    float64(m.gcPauseNs) / 1e6,
+			EventsFired:  events,
+			Fastpath:     fastpath,
+			Fork:         fork,
+			ForkedRuns:   r.ForkedRuns(),
+			ScratchRuns:  r.ScratchRuns(),
+			Cache:        r.Cache() != nil,
+			CacheHits:    cacheHits,
+			CacheMisses:  cacheMisses,
+			CacheStale:   cacheStale,
+			ReportSHA256: fmt.Sprintf("%x", sum.Sum(nil)),
 		}, "", "  ")
 		if err != nil {
 			return fmt.Errorf("ulmtsim: -bench-json: %w", err)
@@ -394,29 +393,28 @@ func run() error {
 // benchRecord is the machine-readable summary -bench-json emits; the
 // BENCH_ulmt.json trajectory file at the repo root collects these.
 type benchRecord struct {
-	Exp               string  `json:"exp"`
-	Scale             string  `json:"scale"`
-	Seed              uint64  `json:"seed"`
-	Jobs              int     `json:"jobs"`
-	IntraJ            int     `json:"intra_j"`
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	HostVCPUs         int     `json:"host_vcpus"`
-	Runs              int     `json:"runs"`
-	WallSeconds       float64 `json:"wall_seconds"`
-	PeakHeapMiB       float64 `json:"peak_heap_mib"`
-	GCCycles          uint32  `json:"gc_cycles"`
-	GCPauseMs         float64 `json:"gc_pause_ms"`
-	EventsFired       uint64  `json:"events_fired"`
-	Fastpath          bool    `json:"fastpath"`
-	Fork              bool    `json:"fork"`
-	ForkedRuns        uint64  `json:"forked_runs"`
-	ScratchRuns       uint64  `json:"scratch_runs"`
-	SnapshotRingBytes uint64  `json:"snapshot_ring_bytes"`
-	Cache             bool    `json:"cache"`
-	CacheHits         uint64  `json:"cache_hits"`
-	CacheMisses       uint64  `json:"cache_misses"`
-	CacheStale        uint64  `json:"cache_stale"`
-	ReportSHA256      string  `json:"report_sha256"`
+	Exp          string  `json:"exp"`
+	Scale        string  `json:"scale"`
+	Seed         uint64  `json:"seed"`
+	Jobs         int     `json:"jobs"`
+	IntraJ       int     `json:"intra_j"`
+	GOMAXPROCS   int     `json:"gomaxprocs"`
+	HostVCPUs    int     `json:"host_vcpus"`
+	Runs         int     `json:"runs"`
+	WallSeconds  float64 `json:"wall_seconds"`
+	PeakHeapMiB  float64 `json:"peak_heap_mib"`
+	GCCycles     uint32  `json:"gc_cycles"`
+	GCPauseMs    float64 `json:"gc_pause_ms"`
+	EventsFired  uint64  `json:"events_fired"`
+	Fastpath     bool    `json:"fastpath"`
+	Fork         bool    `json:"fork"`
+	ForkedRuns   uint64  `json:"forked_runs"`
+	ScratchRuns  uint64  `json:"scratch_runs"`
+	Cache        bool    `json:"cache"`
+	CacheHits    uint64  `json:"cache_hits"`
+	CacheMisses  uint64  `json:"cache_misses"`
+	CacheStale   uint64  `json:"cache_stale"`
+	ReportSHA256 string  `json:"report_sha256"`
 }
 
 // humanCount renders an event count compactly (1234567890 -> "1.23G")

@@ -114,13 +114,6 @@ type System struct {
 	backoffUntil    sim.Cycle
 	degradedSheds   uint64
 	degradedDropped uint64
-
-	// Fork-from-warm execution (fork.go). fork, when non-nil, records
-	// this run's decision log and snapshot ring for followers of its
-	// fork family; forkSplice is set only for the duration of a
-	// ResumePayloadFork restore.
-	fork       *ForkRecorder
-	forkSplice *ForkSplice
 }
 
 // l1Miss tracks one outstanding L1 miss and the processor requests

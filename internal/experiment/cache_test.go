@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ulmt/internal/workload"
@@ -200,10 +201,10 @@ func TestCacheCorruptEntry(t *testing.T) {
 	}
 }
 
-// TestBuildDAG pins the scheduling graph ExecuteAll derives: fork
-// followers are blocked by exactly their family leader, leaders and
-// independent runs are free, and with -fork off the graph is empty
-// (flat fan-out).
+// TestBuildDAG pins the scheduling graph ExecuteAll derives: identity
+// aliases are blocked by exactly their Repl leader; every other key —
+// leaders, ablations and the non-identity sweep points included — is
+// free; and with -fork off the graph is empty (flat fan-out).
 func TestBuildDAG(t *testing.T) {
 	opt := equivOptions(nil)
 	r := NewRunner(opt)
@@ -211,14 +212,13 @@ func TestBuildDAG(t *testing.T) {
 	r.planFork(keys)
 	blockedBy, dependents := r.buildDAG(keys)
 
-	nFollowers := 0
+	nAliases, nFree := 0, 0
 	for _, k := range keys {
-		class := forkFamilyOf(k.Label)
 		leader := RunKey{App: k.App, Label: CfgRepl}
-		if class != forkNone && k != leader {
-			nFollowers++
+		if forkFamilyOf(k.Label) == forkIdentical {
+			nAliases++
 			if blockedBy[k] != 1 {
-				t.Errorf("follower %+v blockedBy = %d, want 1", k, blockedBy[k])
+				t.Errorf("alias %+v blockedBy = %d, want 1", k, blockedBy[k])
 			}
 			found := false
 			for _, d := range dependents[leader] {
@@ -227,14 +227,19 @@ func TestBuildDAG(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Errorf("follower %+v missing from its leader's dependents", k)
+				t.Errorf("alias %+v missing from its leader's dependents", k)
 			}
-		} else if blockedBy[k] != 0 {
-			t.Errorf("non-follower %+v blockedBy = %d, want 0", k, blockedBy[k])
+			continue
+		}
+		if strings.HasPrefix(k.Label, "Abl/") || strings.HasPrefix(k.Label, "Sweep/") {
+			nFree++
+		}
+		if blockedBy[k] != 0 {
+			t.Errorf("non-alias %+v blockedBy = %d, want 0", k, blockedBy[k])
 		}
 	}
-	if nFollowers == 0 {
-		t.Fatal("plan produced no fork followers; DAG test is vacuous")
+	if nAliases == 0 || nFree == 0 {
+		t.Fatalf("plan has %d aliases and %d ablation/sweep scratch keys; DAG test is vacuous", nAliases, nFree)
 	}
 
 	r2 := NewRunner(Options{Scale: opt.Scale, Apps: opt.Apps, Seed: opt.Seed, NoFork: true})

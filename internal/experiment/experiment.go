@@ -63,10 +63,10 @@ type Options struct {
 	// every run (the -fastpath=off oracle). Reports are bit-identical
 	// either way; only wall clock and event counts move.
 	NoFastPath bool
-	// NoFork disables fork-from-warm execution for every run (the
-	// -fork=off oracle): every configuration simulates from scratch.
-	// Reports are bit-identical either way; only wall clock and the
-	// forked/scratch run counts move.
+	// NoFork disables identity aliasing for every run (the -fork=off
+	// oracle): every configuration simulates from scratch. Reports are
+	// bit-identical either way; only wall clock and the forked/scratch
+	// run counts move.
 	NoFork bool
 
 	// Resume, with a Store attached, reuses completed results and
@@ -116,8 +116,8 @@ type Options struct {
 	// or written. Reports are bit-identical either way.
 	NoCache bool
 	// MemBudget caps retained simulation memory — the recycled
-	// successor-arena pool plus fork-family snapshot rings — in bytes
-	// (the -mem-budget flag; 0 disables the cap).
+	// successor-arena pool — in bytes (the -mem-budget flag; 0
+	// disables the cap).
 	MemBudget int64
 }
 
@@ -212,9 +212,10 @@ type Runner struct {
 	// cache, when attached, serves completed runs and derived
 	// artifacts across invocations (cache.go) and records new ones.
 	cache *Cache
-	// ledger, when non-nil, is the retained-memory budget every
-	// fork-family snapshot ring reserves against; the successor-arena
-	// pool shares it via table.SetArenaBudget.
+	// ledger, when non-nil, is the retained-memory budget the
+	// successor-arena pool reserves against (via
+	// table.SetArenaBudget); multicore machines charge their mailbox
+	// buffers to it too.
 	ledger *budget.Ledger
 
 	// active registers in-flight simulations so Interrupt can stop
@@ -233,19 +234,12 @@ type Runner struct {
 	retried     atomic.Uint64
 	failed      atomic.Uint64
 
-	// fork is the fork-family structure of the planned run set
-	// (fork.go), built by ExecuteAll before its workers start; nil
-	// means every run computes from scratch. forkedRuns counts
-	// followers served from a leader's warm state; snapRingPeak is
-	// the largest snapshot-ring payload total any leader held.
-	fork         *forkPlan
-	forkedRuns   atomic.Uint64
-	snapRingPeak atomic.Uint64
-
-	// forkTune, when set (tests only), adjusts each leader recorder's
-	// bounds before its run, so tests can force tiny logs and dense
-	// snapshot rings.
-	forkTune func(*core.ForkRecorder)
+	// aliases holds the planned identity aliases (fork.go), built by
+	// ExecuteAll before its workers start; nil means every run
+	// computes from scratch. forkedRuns counts the aliases served
+	// from their leader's results.
+	aliases    map[RunKey]bool
+	forkedRuns atomic.Uint64
 
 	// testHook, when set (tests only), runs at the top of every
 	// attempt's panic-isolation scope, so tests can inject failures.
@@ -254,9 +248,8 @@ type Runner struct {
 
 // NewRunner builds an empty cache of experiment state. A positive
 // Options.MemBudget installs a process-wide retained-memory ledger:
-// the successor-arena pool and every fork snapshot ring reserve
-// against it, with pooled arenas evicted largest-first under
-// pressure.
+// the successor-arena pool reserves against it, with pooled arenas
+// evicted largest-first under pressure.
 func NewRunner(opt Options) *Runner {
 	r := &Runner{
 		opt:    opt,
@@ -301,24 +294,18 @@ func (r *Runner) RunsComputed() uint64 { return r.computed.Load() }
 // snapshot).
 func (r *Runner) EventsFired() uint64 { return r.eventsFired.Load() }
 
-// ForkedRuns reports how many runs were served from a fork-family
-// leader's warm state instead of simulating from scratch (including
-// the degenerate identical-configuration forks). ScratchRuns is the
-// complement: simulations executed from cycle zero — the same count
-// RunsComputed reports.
+// ForkedRuns reports how many runs were identity aliases served from
+// their Repl leader's results instead of simulating. ScratchRuns is
+// the complement: simulations executed from cycle zero — the same
+// count RunsComputed reports.
 func (r *Runner) ForkedRuns() uint64  { return r.forkedRuns.Load() }
 func (r *Runner) ScratchRuns() uint64 { return r.computed.Load() }
-
-// SnapshotRingBytes reports the largest in-memory snapshot-ring
-// payload total any fork leader held, the -fork machinery's memory
-// high-water mark.
-func (r *Runner) SnapshotRingBytes() uint64 { return r.snapRingPeak.Load() }
 
 // Ops returns (generating once) the op stream of an application.
 // Streams are baseline live memory — the memo holds each for the
 // whole invocation — so they are deliberately outside the -mem-budget
 // ledger, which caps only memory retained *beyond* what a budgetless
-// run would hold (pooled arenas, snapshot rings).
+// run would hold (pooled arenas).
 func (r *Runner) Ops(app string) []workload.Op {
 	return r.ops.get(app, func() []workload.Op {
 		w, err := workload.ByName(app)

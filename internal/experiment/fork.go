@@ -1,62 +1,26 @@
 package experiment
 
-import (
-	"fmt"
-	"os"
-	"strings"
-	"sync"
-	"time"
-
-	"ulmt/internal/core"
-	"ulmt/internal/mem"
-	"ulmt/internal/prefetch"
-	"ulmt/internal/queue"
-)
-
-// Fork-from-warm execution, planner side.
+// Identity aliases.
 //
-// The run matrix is full of configurations that differ from Repl only
-// in prefetch-side parameters: the ablations flip one ULMT mechanism,
-// the sweeps resize its table. Each such follower's simulation is
-// byte-identical to the leader's until the varied mechanism first
-// makes a different decision. The leader run therefore records a
-// decision log and an in-memory snapshot ring (core/fork.go); each
-// follower replays the log through its own configuration to find its
-// exact divergence record, restores the latest leader snapshot taken
-// before it, and simulates only the tail. Every step is verified —
-// replay compares actual decisions, never assumes — and any gap
-// (early divergence, log overflow, no eligible snapshot) falls back
-// to a from-scratch run, so -fork can never change a result, only
-// how much work producing it takes. The -fork=off oracle and
-// FuzzForkEquivalence hold that line.
+// A few labels of the run matrix build exactly the Repl machine: the
+// sweep's identity points. Their simulation would repeat the leader's
+// event for event, so a planned alias waits for its Repl leader and
+// reuses the leader's Results with the label rewritten. Every other
+// label, ablations and the rest of the sweep included, simulates from
+// scratch. The -fork=off oracle runs the aliases from scratch too and
+// must render byte-identical reports.
 
-// forkClass says how a follower's configuration differs from its
-// leader, which decides what the divergence scan compares.
+// forkClass says how a label relates to its app's CfgRepl leader.
 type forkClass int
 
 const (
 	forkNone forkClass = iota
-	// forkIdentical: the label builds exactly the leader's machine
-	// (the sweep identity points); the leader's results are reused
-	// outright. Replaces the old canonicalKey aliasing.
+	// forkIdentical: the label builds exactly the leader's machine,
+	// so the leader's results are reused outright.
 	forkIdentical
-	// forkSession: only the ULMT algorithm differs (sweep geometries,
-	// LearnFirst, NoPointers, Adaptive); divergence is the first
-	// session whose replayed decision hash mismatches.
-	forkSession
-	// forkFilter: only the Filter differs (NoFilter); divergence is
-	// the first admission a replica filter decides differently.
-	forkFilter
-	// forkCrossMatch: cross-matching is disabled; divergence is the
-	// first cross-match that fired on the leader.
-	forkCrossMatch
-	// forkPush: pushes are dropped at the L2; divergence is the first
-	// push that reached the L2 on the leader.
-	forkPush
 )
 
-// forkFamilyOf classifies a label against the CfgRepl leader, or
-// forkNone when the label is not a prefetch-side variant of it.
+// forkFamilyOf classifies a label against the CfgRepl leader.
 func forkFamilyOf(label string) forkClass {
 	switch label {
 	case SweepLevelsLabel(3), SweepRowsLabel("*1"):
@@ -64,109 +28,13 @@ func forkFamilyOf(label string) forkClass {
 		// factor is the sized row count unchanged, so both labels
 		// build exactly the Repl machine — see TestSweepAliasIdentity.
 		return forkIdentical
-	case AblLearnFirst, AblNoPointers, AblAdaptive:
-		return forkSession
-	case AblNoFilter:
-		return forkFilter
-	case AblNoCrossMatch:
-		return forkCrossMatch
-	case AblDropPushes:
-		return forkPush
-	}
-	if strings.HasPrefix(label, "Sweep/") {
-		return forkSession
 	}
 	return forkNone
 }
 
-// forkTrace is the hand-off slot for one leader's recorder: the
-// leader's attempt publishes into it, followers take from it, and the
-// last planned follower releases the memory.
-type forkTrace struct {
-	mu   sync.Mutex
-	rec  *core.ForkRecorder
-	refs int
-	// decode is a cached leader-shaped algorithm used to absorb the
-	// payload's algorithm section on session-class restores. Building
-	// one means allocating the leader's full correlation table, so
-	// followers of a family share a single instance; it holds no state
-	// a restore depends on (it exists to advance the reader), but a
-	// restore mutates it, so borrowers get exclusive use and return it
-	// when done. A concurrent borrower builds its own.
-	decode prefetch.Algorithm
-}
-
-// borrowDecode hands out the cached decode instance, or nil when it
-// is absent or already borrowed (the caller then builds one and
-// offers it back via returnDecode).
-func (t *forkTrace) borrowDecode() prefetch.Algorithm {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d := t.decode
-	t.decode = nil
-	return d
-}
-
-// returnDecode parks a decode instance for the next borrower. Dropped
-// once the trace is released (the family is done).
-func (t *forkTrace) returnDecode(d prefetch.Algorithm) {
-	t.mu.Lock()
-	if t.refs > 0 && t.decode == nil {
-		t.decode = d
-	}
-	t.mu.Unlock()
-}
-
-// publish stores the completed leader recording. Publication happens
-// before the leader's memoized outcome resolves, and followers only
-// take after resolving that outcome, so no waiting is needed here.
-func (t *forkTrace) publish(rec *core.ForkRecorder) {
-	t.mu.Lock()
-	t.rec = rec
-	t.mu.Unlock()
-}
-
-// take returns the leader recording, or nil when the leader declined
-// or failed to record (follower then runs from scratch).
-func (t *forkTrace) take() *core.ForkRecorder {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.rec
-}
-
-// release drops one planned follower's claim; once every follower has
-// passed through, the snapshot ring is freed and its bytes returned
-// to the memory budget, restoring heap to pre-fork level while later
-// families are still running.
-func (t *forkTrace) release() {
-	t.mu.Lock()
-	t.refs--
-	var retire prefetch.Algorithm
-	var rec *core.ForkRecorder
-	if t.refs <= 0 {
-		rec, t.rec = t.rec, nil
-		retire, t.decode = t.decode, nil
-	}
-	t.mu.Unlock()
-	if rec != nil {
-		rec.ReleaseRing()
-	}
-	if retire != nil {
-		prefetch.RecycleTables(retire)
-	}
-}
-
-// forkPlan is the family structure of one planned run set.
-type forkPlan struct {
-	leaders   map[RunKey]*forkTrace
-	followers map[RunKey]forkClass
-}
-
-// planFork derives the fork families of a planned key set: for every
-// app whose CfgRepl leader is in the set, each prefetch-side variant
-// label becomes a follower. Called by ExecuteAll before its workers
-// start; with Options.NoFork (or fault injection, which makes leaders
-// decline recording) every run stays a scratch run.
+// planFork records the identity aliases of a planned key set whose
+// CfgRepl leader is planned too. Called by ExecuteAll before its
+// workers start; with Options.NoFork every run stays a scratch run.
 func (r *Runner) planFork(keys []RunKey) {
 	if r.opt.NoFork {
 		return
@@ -175,304 +43,28 @@ func (r *Runner) planFork(keys []RunKey) {
 	for _, k := range keys {
 		have[k] = true
 	}
-	fp := &forkPlan{
-		leaders:   make(map[RunKey]*forkTrace),
-		followers: make(map[RunKey]forkClass),
-	}
+	aliases := make(map[RunKey]bool)
 	for _, k := range keys {
-		class := forkFamilyOf(k.Label)
-		if class == forkNone {
-			continue
-		}
-		leader := RunKey{App: k.App, Label: CfgRepl}
-		if !have[leader] {
-			continue
-		}
-		fp.followers[k] = class
-		slot := fp.leaders[leader]
-		if slot == nil {
-			slot = &forkTrace{}
-			fp.leaders[leader] = slot
-		}
-		if class != forkIdentical {
-			// Identity aliases never touch the recorder, so only
-			// replaying followers hold a reference on it.
-			slot.refs++
+		if forkFamilyOf(k.Label) == forkIdentical && have[RunKey{App: k.App, Label: CfgRepl}] {
+			aliases[k] = true
 		}
 	}
-	r.fork = fp
+	r.aliases = aliases
 }
 
-// newForkRecorder builds a recorder for a planned leader attempt, or
-// nil when this run cannot record (not a planned leader, a
-// configuration that cannot snapshot, or a family whose only planned
-// followers are identity aliases — those reuse the leader's results
-// outright and never replay, so recording would hold ring memory
-// nobody reads). A fresh recorder per attempt keeps a retried
-// leader's log starting at record zero. The recorder reserves its
-// snapshot payloads against the runner's memory budget, skipping
-// captures the ledger cannot afford.
-func (r *Runner) newForkRecorder(k RunKey, sys *core.System) *core.ForkRecorder {
-	fp := r.fork
-	if fp == nil || !sys.SupportsCheckpoint() {
-		return nil
-	}
-	slot := fp.leaders[k]
-	if slot == nil {
-		return nil
-	}
-	slot.mu.Lock()
-	refs := slot.refs
-	slot.mu.Unlock()
-	if refs == 0 {
-		return nil
-	}
-	rec := core.NewForkRecorder()
-	rec.Budget = r.ledger
-	if r.forkTune != nil {
-		r.forkTune(rec)
-	}
-	sys.RecordFork(rec)
-	return rec
-}
-
-// publishForkTrace hands a leader's completed recording to its
-// followers and folds its ring high-water mark into the footer stat.
-func (r *Runner) publishForkTrace(k RunKey, rec *core.ForkRecorder) {
-	if rec == nil {
-		return
-	}
-	for {
-		peak := uint64(rec.PeakRingBytes())
-		cur := r.snapRingPeak.Load()
-		if peak <= cur || r.snapRingPeak.CompareAndSwap(cur, peak) {
-			break
-		}
-	}
-	r.fork.leaders[k].publish(rec)
-}
-
-// forkDivergence replays the leader's decision log through the
-// follower's configuration and returns the index of the first record
-// the follower decides differently — len(log) when the entire kept
-// log matches. alg is a scan-only instance (it is advanced past the
-// divergence point and must not be reused for the resumed machine).
-func forkDivergence(class forkClass, rec *core.ForkRecorder, alg prefetch.Algorithm, learnFirst bool, filterSize int) int {
-	switch class {
-	case forkSession:
-		rep := prefetch.NewSessionReplayer()
-		for i, fr := range rec.Log {
-			if fr.Kind != core.RecSession {
-				continue
-			}
-			h1, h2 := rep.Replay(alg, learnFirst, fr.Line)
-			if h1 != fr.H1 || h2 != fr.H2 {
-				return i
-			}
-		}
-	case forkFilter:
-		replica := must(queue.NewFilter(filterSize))
-		for i, fr := range rec.Log {
-			if fr.Kind != core.RecFilter {
-				continue
-			}
-			if replica.Admit(fr.Line) != fr.Admit {
-				return i
-			}
-		}
-	case forkCrossMatch:
-		for i, fr := range rec.Log {
-			if fr.Kind == core.RecXMatch {
-				return i
-			}
-		}
-	case forkPush:
-		for i, fr := range rec.Log {
-			if fr.Kind == core.RecPush {
-				return i
-			}
-		}
-	}
-	return len(rec.Log)
-}
-
-// computeForked serves a planned follower from its leader's warm
-// state. The boolean reports whether the outcome is authoritative;
-// false means "no fork applies, run from scratch" — taken whenever
-// any precondition fails, so the fork path can only ever substitute
-// provably identical work, never change a result.
+// computeForked serves a planned identity alias from its leader's
+// results. The boolean reports whether the outcome is authoritative;
+// false means "run from scratch" (not an alias, or the leader failed).
 func (r *Runner) computeForked(k RunKey) (simOutcome, bool) {
-	fp := r.fork
-	if fp == nil {
+	if !r.aliases[k] {
 		return simOutcome{}, false
 	}
-	class, ok := fp.followers[k]
-	if !ok {
-		return simOutcome{}, false
-	}
-	leader := RunKey{App: k.App, Label: CfgRepl}
-	lo := r.outcome(leader)
+	lo := r.outcome(RunKey{App: k.App, Label: CfgRepl})
 	if lo.err != nil {
 		return simOutcome{}, false
 	}
-	if class == forkIdentical {
-		// Degenerate fork at the very end of the run: the label builds
-		// the leader's exact machine, so its results are the leader's.
-		res := lo.res
-		res.Label = k.Label
-		r.forkedRuns.Add(1)
-		return simOutcome{res: res}, true
-	}
-	slot := fp.leaders[leader]
-	if slot == nil {
-		return simOutcome{}, false
-	}
-	rec := slot.take()
-	defer slot.release()
-	if rec == nil {
-		return simOutcome{}, false
-	}
-	if r.store != nil && r.opt.Resume && r.store.HasCheckpoint(k) {
-		// A mid-flight disk checkpoint is further along than any fork
-		// point; let the normal resume path finish from it.
-		return simOutcome{}, false
-	}
-
-	// Building a follower config allocates its full correlation table,
-	// so builds are rationed: only the session class needs a dedicated
-	// scan instance (divergence replay advances the algorithm past the
-	// divergence point, so the scanned instance cannot serve as the
-	// machine's); every other class scans with scalars from the one
-	// config the machine will use.
-	var cfg core.Config
-	var div int
-	if class == forkSession {
-		scanCfg := r.BuildConfig(k.App, k.Label)
-		div = forkDivergence(class, rec, scanCfg.ULMT, scanCfg.LearnFirst, scanCfg.FilterSize)
-		prefetch.RecycleTables(scanCfg.ULMT)
-	} else {
-		cfg = r.BuildConfig(k.App, k.Label)
-		div = forkDivergence(class, rec, nil, cfg.LearnFirst, cfg.FilterSize)
-	}
-	if div == len(rec.Log) && !rec.Overflowed {
-		// The follower's every decision matches the leader's complete
-		// log: the runs are identical end to end.
-		prefetch.RecycleTables(cfg.ULMT)
-		res := lo.res
-		res.Label = k.Label
-		r.forkedRuns.Add(1)
-		return simOutcome{res: res}, true
-	}
-	snap := rec.SnapAtOrBefore(div)
-	if snap == nil {
-		// Divergence before the first usable snapshot (or the log
-		// overflowed earlier than any capture): nothing shareable.
-		prefetch.RecycleTables(cfg.ULMT)
-		return simOutcome{}, false
-	}
-
-	// Build the follower machine and the splice that substitutes its
-	// own differently-configured components at restore.
-	var sp *core.ForkSplice
-	var decode prefetch.Algorithm
-	switch class {
-	case forkSession:
-		// Replay the shared session prefix into the machine's own
-		// algorithm instance (a second fresh instance — the scan one
-		// was advanced past the divergence), and give the restore a
-		// leader-shaped throwaway to absorb the payload's alg bytes.
-		cfg = r.BuildConfig(k.App, k.Label)
-		rep := prefetch.NewSessionReplayer()
-		for _, fr := range rec.Log[:snap.LogLen] {
-			if fr.Kind == core.RecSession {
-				rep.Replay(cfg.ULMT, cfg.LearnFirst, fr.Line)
-			}
-		}
-		decode = slot.borrowDecode()
-		if decode == nil {
-			decode = r.BuildConfig(k.App, CfgRepl).ULMT
-		}
-		sp = &core.ForkSplice{DiscardULMT: decode}
-	case forkFilter:
-		var lines []mem.Line
-		for _, fr := range rec.Log[:snap.LogLen] {
-			if fr.Kind == core.RecFilter {
-				lines = append(lines, fr.Line)
-			}
-		}
-		sp = &core.ForkSplice{
-			DiscardFilter: must(queue.NewFilter(rec.FilterSize)),
-			FilterReplay:  lines,
-		}
-		// forkCrossMatch, forkPush: both the algorithm and the Filter
-		// are configured identically, so the leader's bytes restore
-		// directly and no splice is needed.
-	}
-
-	res, err := r.attemptFork(k, cfg, sp, snap)
-	if decode != nil {
-		slot.returnDecode(decode)
-	}
-	prefetch.RecycleTables(cfg.ULMT)
-	if err == nil {
-		return simOutcome{res: res}, true
-	}
-	if err == errInterrupted {
-		return simOutcome{err: err}, true
-	}
-	// Anything else — restore rejected the payload, a panic, a
-	// watchdog trip — falls back to the healing scratch path.
-	fmt.Fprintf(os.Stderr, "ulmtsim: fork of %s/%s fell back to scratch: %v\n", k.App, k.Label, err)
-	return simOutcome{}, false
-}
-
-// attemptFork executes one follower tail from a leader snapshot, with
-// the same healing envelope as a scratch attempt: panic isolation,
-// interrupt registration, and the wall-clock watchdog.
-func (r *Runner) attemptFork(k RunKey, cfg core.Config, sp *core.ForkSplice, snap *core.ForkSnapshot) (res core.Results, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("forked run %s/%s panicked: %v", k.App, k.Label, p)
-		}
-	}()
-	sys, err := core.NewSystem(cfg)
-	if err != nil {
-		return core.Results{}, err
-	}
-	ops := r.Ops(k.App)
-	ctl := &core.RunControl{}
-	checkpointable := r.store != nil && sys.SupportsCheckpoint()
-	r.register(k, activeRun{ctl: ctl, checkpointable: checkpointable})
-	defer r.unregister(k)
-	if r.interrupted.Load() {
-		return core.Results{}, errInterrupted
-	}
-	if r.opt.RunTimeout > 0 {
-		t := time.AfterFunc(r.opt.RunTimeout, ctl.Abort)
-		defer t.Stop()
-	}
-
-	res, out, rerr := sys.ResumePayloadFork(k.App, ops, snap.Payload, sp, ctl)
-	if rerr != nil {
-		return core.Results{}, rerr
-	}
-	switch out {
-	case core.RunFinished:
-		res.Label = k.Label
-		r.forkedRuns.Add(1)
-		r.eventsFired.Add(res.EventsFired - snap.Events)
-		return res, nil
-	case core.RunCheckpointed:
-		if checkpointable {
-			if werr := sys.WriteCheckpoint(r.store.CheckpointPath(k), r.store.Fingerprint()); werr != nil {
-				fmt.Fprintf(os.Stderr, "ulmtsim: checkpointing %s/%s: %v\n", k.App, k.Label, werr)
-			}
-		}
-		return core.Results{}, errInterrupted
-	default: // core.RunAborted
-		if r.interrupted.Load() {
-			return core.Results{}, errInterrupted
-		}
-		return core.Results{}, fmt.Errorf("forked run %s/%s exceeded the %s watchdog", k.App, k.Label, r.opt.RunTimeout)
-	}
+	res := lo.res
+	res.Label = k.Label
+	r.forkedRuns.Add(1)
+	return simOutcome{res: res}, true
 }

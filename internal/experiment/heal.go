@@ -77,19 +77,19 @@ func (r *Runner) unregister(k RunKey) {
 }
 
 // outcome returns the memoized outcome for a key, computing it (with
-// forking and healing) on first use.
+// aliasing and healing) on first use.
 func (r *Runner) outcome(k RunKey) simOutcome {
 	return r.runs.get(k, func() simOutcome { return r.compute(k) })
 }
 
-// compute runs one simulation with resume, fork, retry and
+// compute runs one simulation with resume, aliasing, retry and
 // persistence around it. It runs at most once per key (single-flight
 // memo) and its attempts are strictly sequential.
 func (r *Runner) compute(k RunKey) simOutcome {
 	// The persistent cache is consulted before any execution strategy:
 	// a hit replays the exact Results a previous invocation computed
-	// (same behavior version, same Options fingerprint), so neither
-	// fork machinery nor a simulation is touched.
+	// (same behavior version, same Options fingerprint), so no
+	// simulation is touched.
 	if r.cache != nil {
 		if res, ok := r.cache.LoadRun(k); ok {
 			return simOutcome{res: res}
@@ -106,9 +106,8 @@ func (r *Runner) compute(k RunKey) simOutcome {
 			fmt.Fprintf(os.Stderr, "ulmtsim: discarding %v; re-running\n", err)
 		}
 	}
-	// A planned fork follower first tries to continue from its
-	// leader's warm state (fork.go); any unmet precondition falls
-	// through to the scratch path below.
+	// A planned identity alias reuses its leader's results (fork.go);
+	// if the leader failed it falls through to the scratch path below.
 	if out, ok := r.computeForked(k); ok {
 		if out.err == nil {
 			r.saveToCache(k, out.res)
@@ -200,15 +199,11 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	}
 
 	var out core.RunOutcome
-	var rec *core.ForkRecorder
 	ckptPath := ""
 	if checkpointable {
 		ckptPath = r.store.CheckpointPath(k)
 	}
 	if checkpointable && r.opt.Resume && r.store.HasCheckpoint(k) {
-		// A run resumed mid-flight cannot fork-record: its decision
-		// log would start mid-run, and followers replay from record
-		// zero. Followers of this leader fall back to scratch.
 		var rerr error
 		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, ckptPath, r.store.Fingerprint(), ctl)
 		if rerr != nil {
@@ -221,11 +216,9 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 			if sys, err = core.NewSystem(cfg); err != nil {
 				return core.Results{}, err
 			}
-			rec = r.newForkRecorder(k, sys)
 			res, out = sys.RunControlled(k.App, ops, ctl)
 		}
 	} else {
-		rec = r.newForkRecorder(k, sys)
 		res, out = sys.RunControlled(k.App, ops, ctl)
 	}
 
@@ -234,7 +227,6 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		res.Label = k.Label
 		r.computed.Add(1)
 		r.eventsFired.Add(res.EventsFired)
-		r.publishForkTrace(k, rec)
 		return res, nil
 	case core.RunCheckpointed:
 		if werr := sys.WriteCheckpoint(ckptPath, r.store.Fingerprint()); werr != nil {

@@ -60,8 +60,8 @@ func (r *Runner) ExperimentRuns(exp string) []RunKey {
 	case "sweep":
 		// CfgRepl is declared explicitly: it is the sweep's identity
 		// point (Sweep/NumLevels=3 and Sweep/NumRows*1 build exactly
-		// that machine) and the fork-family leader every other sweep
-		// point forks from (fork.go).
+		// that machine), so those two labels alias its results
+		// (fork.go).
 		return matrix(SweepApps, append([]string{CfgNoPref, CfgRepl}, SweepConfigs()...))
 	case "faults":
 		return matrix(apps, []string{CfgNoPref, CfgRepl})
@@ -86,23 +86,17 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 }
 
 // buildDAG derives the dependency graph of a planned key set from its
-// fork families: every planned follower is blocked by its family
-// leader, every other key (leaders included) is free. Followers that
-// dispatch only after their leader's outcome resolves never burn a
-// worker slot blocking on the leader memo, so -fork composes with
-// -j N: independent families fan out across workers while each
-// family's followers wait exactly as long as they must.
+// identity aliases: every planned alias is blocked by its Repl
+// leader, every other key (leaders included) is free. An alias that
+// dispatches only after its leader's outcome resolves never burns a
+// worker slot blocking on the leader memo.
 func (r *Runner) buildDAG(keys []RunKey) (blockedBy map[RunKey]int, dependents map[RunKey][]RunKey) {
 	blockedBy = make(map[RunKey]int)
 	dependents = make(map[RunKey][]RunKey)
-	fp := r.fork
-	if fp == nil {
-		return blockedBy, dependents
-	}
-	// planFork only records followers whose leader is in the key set,
+	// planFork only records aliases whose leader is in the key set,
 	// so every edge here stays inside the planned keys.
 	for _, k := range keys {
-		if _, ok := fp.followers[k]; !ok {
+		if !r.aliases[k] {
 			continue
 		}
 		leader := RunKey{App: k.App, Label: CfgRepl}
@@ -121,14 +115,13 @@ func (r *Runner) buildDAG(keys []RunKey) (blockedBy map[RunKey]int, dependents m
 // total); it may be called from many goroutines at once and must
 // synchronize itself.
 //
-// Scheduling is an explicit dependency DAG, not a flat queue: fork
-// followers are blocked by their family leader and dispatch only once
-// the leader's outcome (and sealed snapshot ring) is published, while
-// leaders and independent runs fan out across the workers from the
-// start. A leader always completes its node — even by memoizing an
-// error — so followers always unblock and the dispatcher cannot
-// deadlock; a follower whose leader failed simply falls back to a
-// scratch run.
+// Scheduling is an explicit dependency DAG, not a flat queue:
+// identity aliases are blocked by their Repl leader and dispatch only
+// once the leader's outcome is published, while every other run fans
+// out across the workers from the start. A leader always completes
+// its node — even by memoizing an error — so aliases always unblock
+// and the dispatcher cannot deadlock; an alias whose leader failed
+// simply falls back to a scratch run.
 //
 // Cancelling ctx interrupts the matrix: in-flight runs checkpoint (if
 // a store is attached and they support it) or abort, queued keys are
@@ -155,8 +148,8 @@ func (r *Runner) ExecuteAll(ctx context.Context, keys []RunKey, workers int, onD
 	if len(keys) == 0 {
 		return nil
 	}
-	// Derive the fork families of this run set and their dependency
-	// graph (fork.go / buildDAG above).
+	// Derive the identity aliases of this run set and their
+	// dependency graph (fork.go / buildDAG above).
 	r.planFork(keys)
 	blockedBy, dependents := r.buildDAG(keys)
 
