@@ -9,7 +9,7 @@
 //	        [-scale tiny|small|medium|large] [-apps CG,Mcf,...] [-seed N]
 //	        [-j N] [-faults off|light|heavy|k=v,...] [-fault-seed N]
 //	        [-fastpath on|off] [-fork on|off] [-cores N] [-shards N]
-//	        [-checkpoint-dir DIR] [-resume] [-run-timeout D] [-retries N]
+//	        [-run-timeout D] [-retries N]
 //	        [-cache-dir DIR] [-cache on|off] [-mem-budget MIB]
 //	        [-cpuprofile FILE] [-memprofile FILE] [-trace FILE]
 //	        [-gcpercent N] [-memlimit BYTES] [-bench-json FILE]
@@ -26,6 +26,13 @@
 // cache as an equivalence oracle. The footer reports hits, misses and
 // stale entries.
 //
+// The cache directory also makes long invocations crash-safe:
+// SIGINT/SIGTERM checkpoints whatever is mid-flight (at the next
+// quiescent point) beside the cached results before exiting, and
+// re-running the same command continues exactly where the interrupted
+// one stopped — completed runs are cache hits, stopped runs restore
+// their checkpoints — rendering a byte-identical report.
+//
 // -mem-budget caps retained simulation memory — the recycled
 // correlation-table arena pool — under one ledger (default 192 MiB,
 // 0 = uncapped): pooled arenas are evicted largest-first under
@@ -36,14 +43,11 @@
 // squeezed out; the pointer-free simulation heap makes the extra GC
 // cycles effectively free.
 //
-// With -checkpoint-dir, completed runs are persisted as they finish
-// and SIGINT/SIGTERM checkpoints whatever is mid-flight (at the next
-// quiescent point) before exiting; a later invocation with -resume
-// picks up exactly where the interrupted one stopped and renders a
-// byte-identical report. -run-timeout and -retries bound each
-// simulation attempt: a run that panics or exceeds the watchdog is
-// retried with backoff, and only counts as failed once the retry
-// budget is exhausted.
+// -run-timeout and -retries bound each simulation attempt: a run that
+// exceeds the watchdog is retried with backoff, and only counts as
+// failed once the retry budget is exhausted. A run that panics fails
+// at once; simulations are deterministic, so a retry would panic
+// again.
 //
 // The profiling flags wrap the whole run in the standard pprof /
 // runtime-trace collectors: -cpuprofile and -trace record while the
@@ -140,14 +144,12 @@ func run() error {
 	gcPercent := flag.Int("gcpercent", -1, "set the host GC target percentage (debug.SetGCPercent); -1 uses 50 when -mem-budget is active, GOGC otherwise")
 	memLimit := flag.Int64("memlimit", 0, "set a soft host heap limit in bytes (debug.SetMemoryLimit); 0 leaves it alone")
 	benchJSON := flag.String("bench-json", "", "write headline run metrics as JSON to this file")
-	ckptDir := flag.String("checkpoint-dir", "", "persist completed results and mid-flight checkpoints under this directory (enables -resume and SIGINT/SIGTERM checkpointing)")
-	resume := flag.Bool("resume", false, "reuse completed results and mid-flight checkpoints found in -checkpoint-dir instead of re-simulating")
-	runTimeout := flag.Duration("run-timeout", 0, "per-simulation wall-clock watchdog; a run past it is aborted and retried (0 = off)")
-	retries := flag.Int("retries", 2, "times a panicked or timed-out run is re-attempted before being reported failed")
+	runTimeout := flag.Duration("run-timeout", 0, "per-simulation wall-clock watchdog; a run past it is aborted and retried up to -retries times (0 = off)")
+	retries := flag.Int("retries", 2, "times a run that hit the -run-timeout watchdog is re-attempted before being reported failed (a panicked run fails at once)")
 	cores := flag.Int("cores", 0, "main-processor count for -exp multicore (0 sweeps 2/4/8)")
 	shards := flag.Int("shards", 0, "correlation-table shards for -exp multicore (0 = private per-core ULMTs, >=1 = one shared table across that many memory threads)")
 	intraJ := flag.Int("intra-j", 1, "intra-run workers advancing one multicore machine's time windows (1 = sequential oracle, 0 = GOMAXPROCS); reports are byte-identical at any value")
-	cacheDir := flag.String("cache-dir", "", "persist completed results and derived artifacts in a content-addressed cache under this directory; later invocations with the same parameters replay from it")
+	cacheDir := flag.String("cache-dir", "", "persist completed results, derived artifacts and SIGINT/SIGTERM checkpoints in a content-addressed cache under this directory; later invocations with the same parameters replay or continue from it")
 	cacheFlag := flag.String("cache", "on", "result cache (on or off); off bypasses -cache-dir entirely (the equivalence oracle — reports are bit-identical either way)")
 	memBudget := flag.Int64("mem-budget", 192, "retained-memory budget in MiB for the recycled correlation-table arena pool (0 = uncapped); peak heap runs about one budget above a retention-free run's baseline")
 	flag.Parse()
@@ -243,8 +245,7 @@ func run() error {
 	}
 	opt := experiment.Options{
 		Scale: scale, Seed: *seed, Faults: plan, NoFastPath: !fastpath, NoFork: !fork,
-		Resume: *resume, RunTimeout: *runTimeout, MaxRetries: *retries,
-		Jobs: *jobs, CheckpointDir: *ckptDir,
+		RunTimeout: *runTimeout, MaxRetries: *retries, Jobs: *jobs,
 		Cores: *cores, Shards: *shards, IntraJobs: *intraJ,
 		CacheDir: *cacheDir, NoCache: !cacheOn,
 		MemBudget: *memBudget << 20,
@@ -272,13 +273,6 @@ func run() error {
 		}
 	}
 	r := experiment.NewRunner(opt)
-	if *ckptDir != "" {
-		store, err := experiment.OpenStore(*ckptDir, opt)
-		if err != nil {
-			return err
-		}
-		r.AttachStore(store)
-	}
 	if *cacheDir != "" && cacheOn {
 		cache, err := experiment.OpenCache(*cacheDir, opt)
 		if err != nil {
@@ -288,7 +282,7 @@ func run() error {
 	}
 
 	// SIGINT/SIGTERM cancels the run-matrix context: in-flight runs
-	// checkpoint (when -checkpoint-dir is set and the config supports
+	// checkpoint (when -cache-dir is set and the config supports
 	// it) or abort cleanly, queued runs are skipped, and the process
 	// exits without rendering a partial report. A second signal kills
 	// the process the default way.
@@ -308,8 +302,8 @@ func run() error {
 		p.finish()
 		if execErr != nil {
 			fmt.Fprintf(os.Stderr, "ulmtsim: runs retried %d, failed %d\n", r.Retried(), r.Failed())
-			if r.Interrupted() && *ckptDir != "" {
-				fmt.Fprintf(os.Stderr, "ulmtsim: state saved under %s; re-run with -resume to continue\n", *ckptDir)
+			if r.Interrupted() && r.Cache() != nil {
+				fmt.Fprintf(os.Stderr, "ulmtsim: state saved under %s; re-run the same command to continue\n", *cacheDir)
 			}
 			return fmt.Errorf("ulmtsim: %w", execErr)
 		}

@@ -16,24 +16,28 @@ import (
 // Persistent content-addressed run cache.
 //
 // Every ulmtsim invocation used to re-simulate its entire run matrix
-// from scratch; with a Cache attached, a completed run's Results (the
-// same exact-round-trip JSON the resume Store persists) are written
-// once under a content-derived name and every later invocation that
-// asks for the same work replays it from disk. The cache is
-// content-addressed, not manifest-pinned like the checkpoint Store:
-// one directory serves any mix of scales, seeds, fault plans and app
-// subsets, because the identity of each entry is a digest of
-// everything that could change its bytes:
+// from scratch; with a Cache attached, a completed run's Results are
+// written once under a content-derived name and every later
+// invocation that asks for the same work replays it from disk. The
+// cache is the one place results persist: one directory serves any
+// mix of scales, seeds, fault plans and app subsets, because the
+// identity of each entry is a digest of everything that could change
+// its bytes:
 //
 //   - the canonical RunKey encoding (length-prefixed, so no two
 //     distinct (app, label) or (kind, name) pairs can collide — see
 //     FuzzCacheKey),
 //   - the Options behavior fingerprint (scale, seed, kernel, fastpath,
-//     fault plan — the same identity checkpoints are stamped with),
+//     fault plan),
 //   - CacheBehaviorVersion, a code-behavior constant bumped whenever a
 //     change legitimately moves report_sha256; entries from an older
 //     code generation are detected as stale and recomputed, never
 //     served.
+//
+// Results round-trip exactly: every field of core.Results is an
+// integer, a float64 (Go's JSON encoder emits the shortest
+// representation that parses back to the same bit pattern), or the
+// Histogram with its own exact codec.
 //
 // Besides matrix Results, the cache holds the derived artifacts that
 // dominate a warm run's residual cost: the per-app Table 2 sizing
@@ -42,12 +46,26 @@ import (
 // cached, a warm `-exp all` renders without generating a single op
 // stream.
 //
-// Entries are written atomically (tmp+rename) and are self-describing
-// (the envelope records the full key material); a corrupt, truncated
-// or mismatched entry counts as stale and is recomputed and
-// overwritten. `-cache=off` is the oracle: it bypasses the cache
-// entirely and must render byte-identical reports
-// (TestCacheWarmEquivalence).
+// The same directory holds mid-flight machine checkpoints, written
+// when SIGINT/SIGTERM stops a run and deleted once it completes:
+//
+//	<dir>/cache/<addr>.json   completed Results and derived artifacts
+//	<dir>/ckpt/<addr>.ckpt    a run's mid-flight checkpoint
+//	                          (internal/checkpoint format)
+//
+// A run's checkpoint shares its cache entry's address, and its
+// fingerprint is the entry's full key, behavior version included, so
+// a checkpoint from another invocation shape or code generation is
+// refused (checkpoint.ErrFingerprint) and the run restarts from cycle
+// 0. Re-running an interrupted command therefore continues it: done
+// runs are cache hits, stopped runs restore their checkpoints.
+//
+// Entries are written atomically and durably (tmp+fsync+rename) and
+// are self-describing (the envelope records the full key material); a
+// corrupt, truncated or mismatched entry counts as stale and is
+// recomputed and overwritten. `-cache=off` is the oracle: it bypasses
+// the directory entirely, checkpoints included, and must render
+// byte-identical reports (TestCacheWarmEquivalence).
 
 // CacheBehaviorVersion is the code-behavior generation of cache
 // entries. Bump it in the same commit as any change that legitimately
@@ -153,9 +171,19 @@ type Cache struct {
 	stale  atomic.Uint64
 }
 
-// OpenCache creates (or re-opens) a cache directory. Unlike the
-// checkpoint Store there is no manifest to agree with: entries are
-// content-addressed, so one directory serves every invocation shape.
+// fingerprint derives the behavior identity of an invocation: every
+// option that changes simulated bytes participates, so entries and
+// checkpoints written under one invocation shape are never used by
+// another.
+func (o Options) fingerprint() [32]byte {
+	return sha256.Sum256([]byte(fmt.Sprintf(
+		"ulmt-run/v1|scale=%s|seed=%d|kernel=%d|fastpath=%t|faults=%s",
+		o.Scale, o.Seed, int(o.Kernel), !o.NoFastPath, o.FaultTag)))
+}
+
+// OpenCache creates (or re-opens) a cache directory. There is nothing
+// to agree with: entries are content-addressed, so one directory
+// serves every invocation shape.
 func OpenCache(dir string, opt Options) (*Cache, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "cache"), 0o755); err != nil {
 		return nil, fmt.Errorf("experiment: cache dir: %w", err)
@@ -186,15 +214,19 @@ type cacheEnvelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// path addresses an entry: the file name hashes the ref and the
-// fingerprint but NOT the behavior version, so bumping
-// CacheBehaviorVersion makes old entries show up as stale (countable,
-// reclaimable, overwritten in place) instead of orphaned files that
-// accumulate forever. The version still participates in the full key
-// stored inside the envelope, which the load path verifies.
+// addr names an entry's files: it hashes the ref and the fingerprint
+// but NOT the behavior version, so bumping CacheBehaviorVersion makes
+// old entries show up as stale (countable, reclaimable, overwritten
+// in place) instead of orphaned files that accumulate forever. The
+// version still participates in the full key stored inside the
+// envelope (and stamped into checkpoints), which the load paths
+// verify.
+func (c *Cache) addr(ref cacheRef) string {
+	return fmt.Sprintf("%x", sha256.Sum256(encodeCacheKey(ref, c.fp, 0)))
+}
+
 func (c *Cache) path(ref cacheRef) string {
-	sum := sha256.Sum256(encodeCacheKey(ref, c.fp, 0))
-	return filepath.Join(c.dir, "cache", fmt.Sprintf("%x.json", sum))
+	return filepath.Join(c.dir, "cache", c.addr(ref)+".json")
 }
 
 // fullKey is the entry identity recorded in (and demanded of) the
@@ -230,10 +262,10 @@ func (c *Cache) load(ref cacheRef, into any) (ok bool) {
 	return true
 }
 
-// save persists an entry atomically (tmp+rename, never a truncated
-// file a later invocation would trust). Save failures are returned
-// for logging but never fail the run: a cache that cannot write is
-// just a cache that stays cold.
+// save persists an entry atomically and durably (tmp+fsync+rename,
+// never a truncated file a later invocation would trust). Save
+// failures are returned for logging but never fail the run: a cache
+// that cannot write is just a cache that stays cold.
 func (c *Cache) save(ref cacheRef, payload any) error {
 	raw, err := json.Marshal(payload)
 	if err != nil {
@@ -261,6 +293,10 @@ func (c *Cache) save(ref cacheRef, payload any) error {
 		tmp.Close()
 		return err
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
 	if err := tmp.Close(); err != nil {
 		return err
 	}
@@ -285,6 +321,38 @@ func (c *Cache) SaveRun(k RunKey, res core.Results) {
 		fmt.Fprintf(os.Stderr, "ulmtsim: caching %s/%s: %v\n", k.App, k.Label, err)
 	}
 }
+
+// checkpointPath is where a run's mid-flight machine checkpoint lives
+// (whether or not one exists), beside its Results entry's address.
+func (c *Cache) checkpointPath(k RunKey) string {
+	return filepath.Join(c.dir, "ckpt", c.addr(runRef(k))+".ckpt")
+}
+
+// checkpointFingerprint is the identity a run's checkpoint is stamped
+// with and must match to be restored: the digest behind the run
+// entry's full key, so it changes with the options and the behavior
+// version.
+func (c *Cache) checkpointFingerprint(k RunKey) [32]byte {
+	return sha256.Sum256(encodeCacheKey(runRef(k), c.fp, cacheVersion))
+}
+
+// writeCheckpoint saves a stopped machine as the run's checkpoint. The
+// ckpt directory is made on first use, so an invocation that is never
+// interrupted never creates it.
+func (c *Cache) writeCheckpoint(k RunKey, sys *core.System) error {
+	path := c.checkpointPath(k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return sys.WriteCheckpoint(path, c.checkpointFingerprint(k))
+}
+
+func (c *Cache) hasCheckpoint(k RunKey) bool {
+	_, err := os.Stat(c.checkpointPath(k))
+	return err == nil
+}
+
+func (c *Cache) removeCheckpoint(k RunKey) { os.Remove(c.checkpointPath(k)) }
 
 // sizingArtifact is the cached Table 2 derivation for one app: the
 // functional L2 miss count and the <5%-replacement row sizing. With

@@ -68,29 +68,23 @@ type Options struct {
 	// bit-identical either way; only wall clock and the forked/scratch
 	// run counts move.
 	NoFork bool
-
-	// Resume, with a Store attached, reuses completed results and
-	// mid-flight checkpoints found in the checkpoint directory instead
-	// of re-simulating them (the -resume flag).
-	Resume bool
 	// RunTimeout, if positive, bounds each simulation attempt's wall
-	// clock; a run past it is aborted and retried.
+	// clock; a run past it is aborted and retried (0 = no watchdog).
 	RunTimeout time.Duration
-	// MaxRetries is how many times a panicked or timed-out run is
-	// re-attempted before being reported failed (0 = no retries).
+	// MaxRetries is how many times a timed-out run is re-attempted
+	// before being reported failed (0 = no retries). A panicked run
+	// fails at once: simulations are deterministic, so it would panic
+	// again.
 	MaxRetries int
 	// FaultTag is the textual fault spec behind Faults ("" when none);
-	// it exists so the checkpoint-directory manifest and fingerprint
-	// can include the fault identity without hashing Plan internals.
+	// it exists so the cache and checkpoint fingerprint can include
+	// the fault identity without hashing Plan internals.
 	FaultTag string
 	// Jobs is the parallel worker count for ExecuteAll (the -j flag).
 	// Validate rejects values below 1: a zero here almost always
 	// means a caller forgot to set it, and silently running serial
 	// (or worse, GOMAXPROCS) hides the bug.
 	Jobs int
-	// CheckpointDir is where completed results and mid-flight
-	// checkpoints persist (the -checkpoint-dir flag; "" disables).
-	CheckpointDir string
 	// Cores is the main-processor count for the multicore experiment
 	// (the -cores flag; 0 sweeps the default 2/4/8 ladder).
 	Cores int
@@ -106,9 +100,9 @@ type Options struct {
 	// N >= 2 machine always executes the windowed canonical schedule,
 	// and IntraJobs only picks how many goroutines advance it.
 	IntraJobs int
-	// CacheDir roots the persistent content-addressed result cache
-	// (the -cache-dir flag; "" disables). Unlike CheckpointDir it is
-	// not manifest-pinned: one directory serves every invocation
+	// CacheDir roots the persistent content-addressed store of
+	// completed results and mid-flight checkpoints (the -cache-dir
+	// flag; "" disables). One directory serves every invocation
 	// shape, with entry identity carried by each entry's key.
 	CacheDir string
 	// NoCache bypasses the result cache even when CacheDir is set
@@ -130,8 +124,8 @@ func (o Options) apps() []string {
 
 // Validate reports the first error in the options: an application
 // name outside the workload registry (with the valid names listed),
-// an out-of-range scale, a worker count below 1, a resume request
-// with nowhere to resume from, or a negative core/shard count.
+// an out-of-range scale, a worker count below 1, or a negative retry
+// budget, watchdog, core/shard count or memory budget.
 // Runner methods assume validated options; cmd/ulmtsim calls this
 // before building a Runner so a bad flag exits with a clear message
 // instead of being silently defaulted or panicking mid-experiment.
@@ -148,8 +142,11 @@ func (o Options) Validate() error {
 	if o.Jobs < 1 {
 		return fmt.Errorf("experiment: -j must be >= 1, got %d", o.Jobs)
 	}
-	if o.Resume && o.CheckpointDir == "" {
-		return fmt.Errorf("experiment: -resume needs -checkpoint-dir")
+	if o.MaxRetries < 0 {
+		return fmt.Errorf("experiment: -retries must be >= 0, got %d", o.MaxRetries)
+	}
+	if o.RunTimeout < 0 {
+		return fmt.Errorf("experiment: -run-timeout must be >= 0, got %s", o.RunTimeout)
 	}
 	if o.Cores < 0 {
 		return fmt.Errorf("experiment: -cores must be >= 0, got %d", o.Cores)
@@ -206,11 +203,10 @@ type Runner struct {
 	runs   *memo[RunKey, simOutcome]
 	fig5   *memo[string, Fig5Row]
 
-	// store, when attached, persists completed results and mid-flight
-	// checkpoints so an interrupted invocation can resume (heal.go).
-	store *Store
 	// cache, when attached, serves completed runs and derived
-	// artifacts across invocations (cache.go) and records new ones.
+	// artifacts across invocations (cache.go) and records new ones,
+	// and holds the mid-flight checkpoints an interrupt writes so a
+	// re-run can continue (heal.go).
 	cache *Cache
 	// ledger, when non-nil, is the retained-memory budget the
 	// successor-arena pool reserves against (via
@@ -267,14 +263,10 @@ func NewRunner(opt Options) *Runner {
 	return r
 }
 
-// AttachStore gives the runner a checkpoint directory to persist
-// results and mid-flight checkpoints into. Attach before any runs
-// execute.
-func (r *Runner) AttachStore(s *Store) { r.store = s }
-
 // AttachCache gives the runner a persistent result cache to serve
 // completed runs and derived artifacts from (and record new ones
-// into). Attach before any runs execute.
+// into, along with mid-flight checkpoints on interrupt). Attach
+// before any runs execute.
 func (r *Runner) AttachCache(c *Cache) { r.cache = c }
 
 // Cache returns the attached result cache (nil when none), so
@@ -447,8 +439,8 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 // configuration. Concurrent callers of the same (app, label) pair —
 // or of label pairs that build identical configurations (see
 // canonicalKey) — share one simulation. Renderers call Run only for
-// keys ExecuteAll already completed; a run that failed its retry
-// budget or was interrupted panics here with the stored cause, which
+// keys ExecuteAll already completed; a run that failed or was
+// interrupted panics here with the stored cause, which
 // cmd/ulmtsim never reaches because it skips rendering when
 // ExecuteAll reports an error.
 func (r *Runner) Run(app, label string) core.Results {

@@ -11,21 +11,26 @@ import (
 )
 
 // Self-healing execution: every simulation runs under a
-// core.RunControl with panic isolation, bounded retry, a wall-clock
-// watchdog, and (when a Store is attached) crash-safe persistence —
-// completed results are saved as they finish, and an interrupt
-// checkpoints whatever is mid-flight so a later -resume continues
-// instead of restarting.
+// core.RunControl with panic isolation, a wall-clock watchdog with
+// bounded retry, and (when a Cache is attached) crash-safe
+// persistence — completed results are cached as they finish, and an
+// interrupt checkpoints whatever is mid-flight beside them, so
+// re-running the same command continues instead of restarting.
 
 // errInterrupted marks a run stopped by Interrupt (SIGINT/SIGTERM via
 // ExecuteAll's context). It is terminal, never retried: the point of
 // an interrupt is to stop.
 var errInterrupted = errors.New("experiment: run interrupted")
 
+// errWatchdog marks an attempt aborted past Options.RunTimeout, the
+// only failure worth retrying: simulations are deterministic, so a
+// panicked run panics again, but a timeout may be host pressure.
+var errWatchdog = errors.New("watchdog")
+
 // simOutcome is what the runs memo holds: either results or the error
-// that exhausted the run's retry budget. Memoizing the error too
-// keeps single-flight semantics — a failed run is not silently
-// re-attempted by every renderer that asks for it.
+// that failed the run. Memoizing the error too keeps single-flight
+// semantics — a failed run is not silently re-attempted by every
+// renderer that asks for it.
 type simOutcome struct {
 	res core.Results
 	err error
@@ -58,9 +63,10 @@ func (r *Runner) Interrupt() {
 // Interrupted reports whether Interrupt has been called.
 func (r *Runner) Interrupted() bool { return r.interrupted.Load() }
 
-// Retried reports how many run attempts were retried after a panic
-// or watchdog timeout; Failed how many runs exhausted their retry
-// budget. Both appear in the cmd/ulmtsim summary footer.
+// Retried reports how many run attempts were retried after a
+// watchdog timeout; Failed how many runs failed for good (a panic, or
+// a timeout past the retry budget). Both appear in the cmd/ulmtsim
+// summary footer.
 func (r *Runner) Retried() uint64 { return r.retried.Load() }
 func (r *Runner) Failed() uint64  { return r.failed.Load() }
 
@@ -82,9 +88,9 @@ func (r *Runner) outcome(k RunKey) simOutcome {
 	return r.runs.get(k, func() simOutcome { return r.compute(k) })
 }
 
-// compute runs one simulation with resume, aliasing, retry and
-// persistence around it. It runs at most once per key (single-flight
-// memo) and its attempts are strictly sequential.
+// compute runs one simulation with caching, aliasing and retry
+// around it. It runs at most once per key (single-flight memo) and its
+// attempts are strictly sequential.
 func (r *Runner) compute(k RunKey) simOutcome {
 	// The persistent cache is consulted before any execution strategy:
 	// a hit replays the exact Results a previous invocation computed
@@ -95,76 +101,52 @@ func (r *Runner) compute(k RunKey) simOutcome {
 			return simOutcome{res: res}
 		}
 	}
-	if r.store != nil && r.opt.Resume {
-		res, ok, err := r.store.LoadResult(k)
-		if ok {
-			r.saveToCache(k, res)
-			return simOutcome{res: res}
-		}
-		if err != nil {
-			// A corrupt result file is re-run, not rendered.
-			fmt.Fprintf(os.Stderr, "ulmtsim: discarding %v; re-running\n", err)
-		}
-	}
 	// A planned identity alias reuses its leader's results (fork.go);
 	// if the leader failed it falls through to the scratch path below.
 	if out, ok := r.computeForked(k); ok {
 		if out.err == nil {
 			r.saveToCache(k, out.res)
-			if r.store != nil {
-				if serr := r.store.SaveResult(k, out.res); serr != nil {
-					fmt.Fprintf(os.Stderr, "ulmtsim: persisting %s/%s: %v\n", k.App, k.Label, serr)
-				}
-				r.store.RemoveCheckpoint(k)
-			}
 		}
 		return out
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			r.retried.Add(1)
-			// Linear backoff: transient host pressure (the usual cause
-			// of watchdog trips) eases; a deterministic bug fails fast.
-			time.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
-		}
+	for attempt := 1; ; attempt++ {
 		res, err := r.attempt(k)
-		if err == nil {
+		switch {
+		case err == nil:
 			r.saveToCache(k, res)
-			if r.store != nil {
-				if serr := r.store.SaveResult(k, res); serr != nil {
-					fmt.Fprintf(os.Stderr, "ulmtsim: persisting %s/%s: %v\n", k.App, k.Label, serr)
-				}
-				r.store.RemoveCheckpoint(k)
-			}
 			return simOutcome{res: res}
-		}
-		if errors.Is(err, errInterrupted) {
+		case errors.Is(err, errInterrupted):
+			return simOutcome{err: err}
+		case errors.Is(err, errWatchdog) && attempt <= r.opt.MaxRetries:
+			r.retried.Add(1)
+			// Linear backoff: transient host pressure, the usual cause
+			// of watchdog trips, eases.
+			time.Sleep(time.Duration(attempt) * 50 * time.Millisecond)
+		default:
+			r.failed.Add(1)
 			return simOutcome{err: err}
 		}
-		lastErr = err
-		if attempt >= r.opt.MaxRetries {
-			break
-		}
 	}
-	r.failed.Add(1)
-	return simOutcome{err: lastErr}
 }
 
-// saveToCache records a completed result in the persistent cache (a
-// no-op without one). Called on every success path — scratch, forked,
-// and store-resumed — so a cache attached mid-way through a matrix's
-// history still converges to fully warm.
+// saveToCache records a completed result in the persistent cache and
+// drops the run's mid-flight checkpoint (a no-op without a cache).
+// Called on every success path — scratch and aliased — so a cache
+// attached mid-way through a matrix's history still converges to
+// fully warm.
 func (r *Runner) saveToCache(k RunKey, res core.Results) {
 	if r.cache != nil {
 		r.cache.SaveRun(k, res)
+		r.cache.removeCheckpoint(k)
 	}
 }
 
 // attempt executes one isolated try of the simulation: panics become
 // errors, the watchdog aborts it past Options.RunTimeout, an
-// interrupt either checkpoints it (support and a store permitting) or
-// aborts it.
+// interrupt either checkpoints it (support and a cache permitting) or
+// aborts it. A checkpoint left by an interrupted invocation is
+// restored rather than re-simulated; one that fails its integrity or
+// fingerprint check is discarded and the run starts from cycle 0.
 func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -185,7 +167,7 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	}
 	ops := r.Ops(k.App)
 	ctl := &core.RunControl{}
-	checkpointable := r.store != nil && sys.SupportsCheckpoint()
+	checkpointable := r.cache != nil && sys.SupportsCheckpoint()
 	r.register(k, activeRun{ctl: ctl, checkpointable: checkpointable})
 	defer r.unregister(k)
 	// Registered first, checked second: whichever order Interrupt and
@@ -199,18 +181,14 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 	}
 
 	var out core.RunOutcome
-	ckptPath := ""
-	if checkpointable {
-		ckptPath = r.store.CheckpointPath(k)
-	}
-	if checkpointable && r.opt.Resume && r.store.HasCheckpoint(k) {
+	if checkpointable && r.cache.hasCheckpoint(k) {
 		var rerr error
-		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, ckptPath, r.store.Fingerprint(), ctl)
+		res, out, rerr = sys.ResumeCheckpoint(k.App, ops, r.cache.checkpointPath(k), r.cache.checkpointFingerprint(k), ctl)
 		if rerr != nil {
 			// A checkpoint that fails validation must not wedge
 			// recovery: discard it and run from the beginning.
 			fmt.Fprintf(os.Stderr, "ulmtsim: discarding checkpoint for %s/%s: %v\n", k.App, k.Label, rerr)
-			r.store.RemoveCheckpoint(k)
+			r.cache.removeCheckpoint(k)
 			prefetch.RecycleTables(cfg.ULMT)
 			cfg = r.BuildConfig(k.App, k.Label)
 			if sys, err = core.NewSystem(cfg); err != nil {
@@ -229,7 +207,7 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		r.eventsFired.Add(res.EventsFired)
 		return res, nil
 	case core.RunCheckpointed:
-		if werr := sys.WriteCheckpoint(ckptPath, r.store.Fingerprint()); werr != nil {
+		if werr := r.cache.writeCheckpoint(k, sys); werr != nil {
 			fmt.Fprintf(os.Stderr, "ulmtsim: checkpointing %s/%s: %v\n", k.App, k.Label, werr)
 		}
 		return core.Results{}, errInterrupted
@@ -237,6 +215,6 @@ func (r *Runner) attempt(k RunKey) (res core.Results, err error) {
 		if r.interrupted.Load() {
 			return core.Results{}, errInterrupted
 		}
-		return core.Results{}, fmt.Errorf("run %s/%s exceeded the %s watchdog", k.App, k.Label, r.opt.RunTimeout)
+		return core.Results{}, fmt.Errorf("run %s/%s exceeded the %s %w", k.App, k.Label, r.opt.RunTimeout, errWatchdog)
 	}
 }

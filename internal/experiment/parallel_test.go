@@ -6,6 +6,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"ulmt/internal/fault"
 	"ulmt/internal/workload"
@@ -272,11 +273,11 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{Jobs: -3}).Validate(); err == nil {
 		t.Error("negative worker count accepted")
 	}
-	if err := (Options{Jobs: 1, Resume: true}).Validate(); err == nil {
-		t.Error("-resume without -checkpoint-dir accepted")
+	if err := (Options{Jobs: 1, MaxRetries: -1}).Validate(); err == nil {
+		t.Error("negative retry count accepted")
 	}
-	if err := (Options{Jobs: 1, Resume: true, CheckpointDir: "d"}).Validate(); err != nil {
-		t.Errorf("resume with checkpoint dir rejected: %v", err)
+	if err := (Options{Jobs: 1, RunTimeout: -5 * time.Second}).Validate(); err == nil {
+		t.Error("negative run timeout accepted")
 	}
 	if err := (Options{Jobs: 1, Cores: -1}).Validate(); err == nil {
 		t.Error("negative core count accepted")

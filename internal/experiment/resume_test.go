@@ -1,9 +1,9 @@
 package experiment
 
 import (
-	"bytes"
 	"context"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,15 +18,14 @@ func resumeOptions() Options {
 	return Options{Scale: workload.ScaleTiny, Apps: []string{"Mcf"}, Seed: 1}
 }
 
-// storeFor opens a store for the options in a fresh temp dir.
-func storeFor(t *testing.T, opt Options) (*Store, string) {
+// cachedRunner builds a runner for the options over a fresh cache
+// directory.
+func cachedRunner(t *testing.T, opt Options) (*Runner, *Cache) {
 	t.Helper()
-	dir := t.TempDir()
-	s, err := OpenStore(dir, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, dir
+	c := openTestCache(t, t.TempDir(), opt)
+	r := NewRunner(opt)
+	r.AttachCache(c)
+	return r, c
 }
 
 // TestSweepAliasIdentity proves the forkIdentical class is sound: the
@@ -76,125 +75,69 @@ func TestSweepAliasIdentity(t *testing.T) {
 	}
 }
 
-// TestStoreResultRoundTrip proves persisted results reload exactly —
+// TestCacheResultRoundTrip proves cached results reload exactly —
 // every field, including the histogram and float derivatives — so a
-// resumed invocation renders byte-identical reports.
-func TestStoreResultRoundTrip(t *testing.T) {
+// warm or continued invocation renders byte-identical reports.
+func TestCacheResultRoundTrip(t *testing.T) {
 	opt := resumeOptions()
 	r := NewRunner(opt)
-	s, _ := storeFor(t, opt)
+	c := openTestCache(t, t.TempDir(), opt)
 	k := RunKey{App: "Mcf", Label: CfgRepl}
 	res := r.Run(k.App, k.Label)
-	if err := s.SaveResult(k, res); err != nil {
-		t.Fatal(err)
+	if res.MissDistance == nil || res.MissDistance.Total() == 0 {
+		t.Fatal("run recorded no latency histogram; round trip is vacuous")
 	}
-	got, ok, err := s.LoadResult(k)
-	if err != nil || !ok {
-		t.Fatalf("LoadResult: ok=%v err=%v", ok, err)
+	c.SaveRun(k, res)
+	got, ok := c.LoadRun(k)
+	if !ok {
+		t.Fatal("LoadRun missed a just-saved entry")
 	}
 	if !reflect.DeepEqual(got, res) {
-		t.Errorf("stored result round-trip diverges:\n got %+v\nwant %+v", got, res)
+		t.Errorf("cached result round-trip diverges:\n got %+v\nwant %+v", got, res)
 	}
 }
 
-// TestStoreManifestMismatch proves a checkpoint directory refuses
-// reuse under different options instead of silently mixing results.
-func TestStoreManifestMismatch(t *testing.T) {
-	opt := resumeOptions()
-	_, dir := storeFor(t, opt)
-	other := opt
-	other.Seed = 2
-	if _, err := OpenStore(dir, other); err == nil {
-		t.Fatal("manifest mismatch accepted")
-	}
-	// Same options re-open fine.
-	if _, err := OpenStore(dir, opt); err != nil {
-		t.Fatalf("same-options reopen: %v", err)
-	}
-}
-
-// TestResumeSkipsCompleted runs a matrix with a store, then resumes
-// it in a fresh runner (a new process, effectively): nothing
-// re-simulates and the report bytes are identical.
-func TestResumeSkipsCompleted(t *testing.T) {
-	opt := resumeOptions()
-	s, dir := storeFor(t, opt)
-	r1 := NewRunner(opt)
-	r1.AttachStore(s)
-	keys := r1.PlanRuns([]string{"fig7"})
-	if err := r1.ExecuteAll(nil, keys, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := r1.Render(&want, "fig7"); err != nil {
-		t.Fatal(err)
-	}
-
-	opt2 := opt
-	opt2.Resume = true
-	s2, err := OpenStore(dir, opt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := NewRunner(opt2)
-	r2.AttachStore(s2)
-	if err := r2.ExecuteAll(nil, keys, 2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if n := r2.RunsComputed(); n != 0 {
-		t.Errorf("resume re-simulated %d runs", n)
-	}
-	var got bytes.Buffer
-	if err := r2.Render(&got, "fig7"); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Error("resumed report differs from original")
-	}
-}
-
-// midFlightCheckpoint simulates a SIGINT'd run: it stops the key's
-// simulation at a mid-run quiescent point and writes the machine
-// checkpoint where the store expects it.
-func midFlightCheckpoint(t *testing.T, r *Runner, s *Store, k RunKey, want core.Results) {
+// midFlightCheckpoint simulates a SIGINT'd run: it stops src's
+// simulation of the key at a mid-run quiescent point and writes the
+// machine checkpoint where c expects the key's checkpoint, stamped
+// for the current behavior version.
+func midFlightCheckpoint(t *testing.T, src *Runner, c *Cache, k RunKey, want core.Results) {
 	t.Helper()
-	sys, err := core.NewSystem(r.BuildConfig(k.App, k.Label))
+	sys, err := core.NewSystem(src.BuildConfig(k.App, k.Label))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := &core.RunControl{CheckpointAfterEvents: want.EventsFired / 2}
-	if _, out := sys.RunControlled(k.App, r.Ops(k.App), ctl); out != core.RunCheckpointed {
+	if _, out := sys.RunControlled(k.App, src.Ops(k.App), ctl); out != core.RunCheckpointed {
 		t.Skipf("no quiescent point before completion (outcome %v)", out)
 	}
-	if err := sys.WriteCheckpoint(s.CheckpointPath(k), s.Fingerprint()); err != nil {
+	if err := c.writeCheckpoint(k, sys); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestResumeFromMidFlightCheckpoint is the kill-and-resume oracle at
 // the experiment level: a run interrupted at a mid-flight checkpoint
-// and resumed by a fresh runner reports results identical to the
-// uninterrupted run, and the consumed checkpoint is cleaned up.
+// and continued by a fresh runner over the same cache directory — no
+// resume option — reports results identical to the uninterrupted run,
+// caches them, and cleans up the consumed checkpoint.
 func TestResumeFromMidFlightCheckpoint(t *testing.T) {
 	opt := resumeOptions()
 	want := NewRunner(opt).Run("Mcf", CfgRepl)
 
-	opt.Resume = true
-	s, _ := storeFor(t, opt)
-	r := NewRunner(opt)
-	r.AttachStore(s)
+	r, c := cachedRunner(t, opt)
 	k := RunKey{App: "Mcf", Label: CfgRepl}
-	midFlightCheckpoint(t, r, s, k, want)
+	midFlightCheckpoint(t, r, c, k, want)
 
 	got := r.Run(k.App, k.Label)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed run diverges from uninterrupted run:\n got %+v\nwant %+v", got, want)
 	}
-	if s.HasCheckpoint(k) {
+	if c.hasCheckpoint(k) {
 		t.Error("consumed checkpoint not removed")
 	}
-	if _, ok, err := s.LoadResult(k); err != nil || !ok {
-		t.Errorf("completed resumed run not persisted: ok=%v err=%v", ok, err)
+	if _, ok := c.LoadRun(k); !ok {
+		t.Error("completed resumed run not cached")
 	}
 }
 
@@ -205,63 +148,84 @@ func TestResumeDiscardsCorruptCheckpoint(t *testing.T) {
 	opt := resumeOptions()
 	want := NewRunner(opt).Run("Mcf", CfgRepl)
 
-	opt.Resume = true
-	s, _ := storeFor(t, opt)
-	r := NewRunner(opt)
-	r.AttachStore(s)
+	r, c := cachedRunner(t, opt)
 	k := RunKey{App: "Mcf", Label: CfgRepl}
-	if err := os.WriteFile(s.CheckpointPath(k), []byte("not a checkpoint"), 0o644); err != nil {
+	if err := os.MkdirAll(filepath.Dir(c.checkpointPath(k)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.checkpointPath(k), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got := r.Run(k.App, k.Label)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("recovery run after corrupt checkpoint diverges")
 	}
-	if s.HasCheckpoint(k) {
+	if c.hasCheckpoint(k) {
 		t.Error("corrupt checkpoint left in place")
 	}
 }
 
-// TestSelfHealRetry injects a panic into a run's first attempt and
-// requires the runner to retry and succeed.
+// TestCheckpointStaleVersion pins the checkpoint side of the
+// behavior-version contract: a checkpoint written under another
+// CacheBehaviorVersion is refused, deleted, and the run restarts from
+// cycle 0. The planted checkpoint comes from a -fastpath=off machine,
+// whose continuation reports the same simulated results but a
+// different EventsFired, so the test can tell a restore (same
+// version, the control) from a restart (bumped version).
+func TestCheckpointStaleVersion(t *testing.T) {
+	opt := resumeOptions()
+	want := NewRunner(opt).Run("Mcf", CfgRepl)
+	k := RunKey{App: "Mcf", Label: CfgRepl}
+	srcOpt := opt
+	srcOpt.NoFastPath = true
+	src := NewRunner(srcOpt)
+
+	t.Run("SameVersionRestores", func(t *testing.T) {
+		r, c := cachedRunner(t, opt)
+		midFlightCheckpoint(t, src, c, k, want)
+		got := r.Run(k.App, k.Label)
+		if got.EventsFired == want.EventsFired {
+			t.Fatal("checkpoint not restored: event count matches a from-scratch run")
+		}
+		got.EventsFired = want.EventsFired
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("restored run diverges beyond its event count:\n got %+v\nwant %+v", got, want)
+		}
+	})
+
+	t.Run("BumpedVersionRestarts", func(t *testing.T) {
+		r, c := cachedRunner(t, opt)
+		midFlightCheckpoint(t, src, c, k, want)
+		cacheVersion++
+		defer func() { cacheVersion-- }()
+		got := r.Run(k.App, k.Label)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run with a stale checkpoint diverges from a clean run (checkpoint restored?):\n got %+v\nwant %+v", got, want)
+		}
+		if n := r.RunsComputed(); n != 1 {
+			t.Errorf("computed %d runs, want 1", n)
+		}
+		if c.hasCheckpoint(k) {
+			t.Error("stale checkpoint left in place")
+		}
+	})
+}
+
+// TestSelfHealRetry injects a panic into a run and requires the runner
+// to fail it without retrying — a deterministic simulation would panic
+// again — and to report the panic through ExecuteAll's error, not
+// panic or hide it.
 func TestSelfHealRetry(t *testing.T) {
 	opt := resumeOptions()
 	opt.MaxRetries = 2
-	want := NewRunner(resumeOptions()).Run("Mcf", CfgNoPref)
-
 	r := NewRunner(opt)
-	fails := 1
-	r.testHook = func(k RunKey) {
-		if k.Label == CfgNoPref && fails > 0 {
-			fails--
-			panic("injected fault")
-		}
-	}
-	got := r.Run("Mcf", CfgNoPref)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("healed run diverges from clean run")
-	}
-	if n := r.Retried(); n != 1 {
-		t.Errorf("retried = %d, want 1", n)
-	}
-	if n := r.Failed(); n != 0 {
-		t.Errorf("failed = %d, want 0", n)
-	}
-}
-
-// TestSelfHealExhaustedRetries proves a persistently failing run is
-// reported through ExecuteAll's error, not panicked or hidden.
-func TestSelfHealExhaustedRetries(t *testing.T) {
-	opt := resumeOptions()
-	opt.MaxRetries = 1
-	r := NewRunner(opt)
-	r.testHook = func(k RunKey) { panic("always broken") }
+	r.testHook = func(k RunKey) { panic("injected fault") }
 	err := r.ExecuteAll(nil, []RunKey{{App: "Mcf", Label: CfgNoPref}}, 1, nil)
-	if err == nil || !strings.Contains(err.Error(), "always broken") {
-		t.Fatalf("ExecuteAll error = %v, want the injected failure", err)
+	if err == nil || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("ExecuteAll error = %v, want the injected panic", err)
 	}
-	if n := r.Retried(); n != 1 {
-		t.Errorf("retried = %d, want 1", n)
+	if n := r.Retried(); n != 0 {
+		t.Errorf("retried = %d, want 0", n)
 	}
 	if n := r.Failed(); n != 1 {
 		t.Errorf("failed = %d, want 1", n)
@@ -284,12 +248,13 @@ func TestExecuteAllInterrupt(t *testing.T) {
 	}
 }
 
-// TestWatchdogTimeout aborts a run past Options.RunTimeout and, with
-// no retry budget, reports it failed.
+// TestWatchdogTimeout aborts a run past Options.RunTimeout, retries
+// it within the retry budget, and reports it failed once the budget
+// is spent.
 func TestWatchdogTimeout(t *testing.T) {
 	opt := resumeOptions()
 	opt.RunTimeout = time.Nanosecond
-	opt.MaxRetries = 0
+	opt.MaxRetries = 1
 	r := NewRunner(opt)
 	err := r.ExecuteAll(nil, []RunKey{{App: "Mcf", Label: CfgNoPref}}, 1, nil)
 	if err == nil || !strings.Contains(err.Error(), "watchdog") {
@@ -299,6 +264,9 @@ func TestWatchdogTimeout(t *testing.T) {
 			t.Fatalf("ExecuteAll error = %v, want watchdog", err)
 		}
 		t.Skip("run finished before the watchdog fired")
+	}
+	if n := r.Retried(); n != 1 {
+		t.Errorf("retried = %d, want 1", n)
 	}
 	if n := r.Failed(); n != 1 {
 		t.Errorf("failed = %d, want 1", n)

@@ -27,9 +27,8 @@ func (h *Histogram) Restore(r *checkpoint.Reader) {
 }
 
 // histogramJSON is the exported wire form of Histogram for the
-// experiment runner's persisted-results store. Counts are exact
-// integers, so a marshal/unmarshal round trip reproduces the
-// histogram bit-for-bit.
+// experiment runner's result cache. Counts are exact integers, so a
+// marshal/unmarshal round trip reproduces the histogram bit-for-bit.
 type histogramJSON struct {
 	Edges  []int64  `json:"edges"`
 	Counts []uint64 `json:"counts"`
