@@ -15,8 +15,8 @@
 //	        [-gcpercent N] [-memlimit BYTES] [-bench-json FILE]
 //
 // With -cache-dir, every completed run's results (and the derived
-// per-application artifacts: Table 2 sizing, Fig 5 accuracies) are
-// persisted in a content-addressed cache keyed by what they depend on
+// per-application artifacts: Table 2 sizing, Fig 5 accuracies; and
+// -exp multicore's finished machines) are persisted in a content-addressed cache keyed by what they depend on
 // — run identity, the invocation's behavior fingerprint, and a
 // code-behavior version constant. A later invocation with the same
 // parameters replays from disk instead of simulating, rendering a
@@ -70,12 +70,13 @@
 // host-side event churn and wall clock move.
 //
 // -fork=off disables identity aliasing (DESIGN.md "Identity
-// aliases"): with it on (the default), the sweep labels that build
-// exactly their app's Repl machine (Sweep/NumLevels=3 and
-// Sweep/NumRows*1) reuse the Repl run's results instead of
-// simulating it again. The rendered report is byte-identical at
-// either setting; the footer's forked/scratch run counts show how
-// many runs were aliased.
+// aliases"): with it on (the default), a label that builds exactly
+// another label's machine reuses that run's results instead of
+// simulating it again — the sweep labels Sweep/NumLevels=3 and
+// Sweep/NumRows*1 alias their app's Repl run, and Custom aliases
+// Conven4+Repl on every app without a Table 5 customization. The
+// rendered report is byte-identical at either setting; the footer's
+// forked/scratch run counts show how many runs were aliased.
 //
 // The run matrix of the requested experiments is pre-planned and
 // executed on -j parallel workers (default: GOMAXPROCS) with live
@@ -135,7 +136,7 @@ func run() error {
 	seed := flag.Uint64("seed", 1, "page-mapping seed")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
 	fastpathFlag := flag.String("fastpath", "on", "cycle-skipping CPU fast path (on or off); off forces every cycle through the event queue (the equivalence oracle — reports are bit-identical either way)")
-	forkFlag := flag.String("fork", "on", "identity aliasing of sweep labels that build the Repl machine (on or off); off simulates every run-matrix key from scratch (the equivalence oracle — reports are bit-identical either way)")
+	forkFlag := flag.String("fork", "on", "identity aliasing of labels that build another label's machine — Sweep/NumLevels=3 and Sweep/NumRows*1 reuse Repl, Custom reuses Conven4+Repl on apps without a Table 5 customization (on or off); off simulates every run-matrix key from scratch (the equivalence oracle — reports are bit-identical either way)")
 	faultSpec := flag.String("faults", "off", "fault plan: off, light, heavy, or key=value list (see internal/fault)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault plan's pseudo-random schedule")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 
 	"ulmt/internal/core"
@@ -42,9 +43,10 @@ import (
 // Besides matrix Results, the cache holds the derived artifacts that
 // dominate a warm run's residual cost: the per-app Table 2 sizing
 // (which needs the full functional miss trace) and the per-app Fig 5
-// prediction rows (seven predictors over that trace). With those
+// prediction rows (five predictor passes over that trace). With those
 // cached, a warm `-exp all` renders without generating a single op
-// stream.
+// stream. It also holds the finished machines of `-exp multicore`,
+// which simulates outside the run matrix (multicore.go).
 //
 // The same directory holds mid-flight machine checkpoints, written
 // when SIGINT/SIGTERM stops a run and deleted once it completes:
@@ -86,6 +88,9 @@ const (
 	cacheKindRun    = "run"
 	cacheKindSizing = "sizing"
 	cacheKindFig5   = "fig5"
+	// cacheKindMulticore entries hold one -exp multicore machine's
+	// core.MulticoreResults.
+	cacheKindMulticore = "multicore"
 )
 
 // cacheRef names one cache entry before hashing: an entry kind, the
@@ -392,5 +397,30 @@ func (c *Cache) loadFig5(app string) (fig5Artifact, bool) {
 func (c *Cache) saveFig5(app string, f fig5Artifact) {
 	if err := c.save(cacheRef{Kind: cacheKindFig5, App: app}, f); err != nil {
 		fmt.Fprintf(os.Stderr, "ulmtsim: caching fig5/%s: %v\n", app, err)
+	}
+}
+
+// multicoreRef addresses one multicore machine's results: the mix
+// (core i runs names[i]; app names hold no commas) and the machine
+// shape. -intra-j stays out: it picks worker goroutines, never bytes.
+func multicoreRef(names []string, shards int, withPrefetch bool) cacheRef {
+	return cacheRef{
+		Kind:  cacheKindMulticore,
+		App:   strings.Join(names, ","),
+		Label: fmt.Sprintf("cores=%d shards=%d prefetch=%t", len(names), shards, withPrefetch),
+	}
+}
+
+func (c *Cache) loadMulticore(ref cacheRef) (core.MulticoreResults, bool) {
+	var res core.MulticoreResults
+	if !c.load(ref, &res) {
+		return core.MulticoreResults{}, false
+	}
+	return res, true
+}
+
+func (c *Cache) saveMulticore(ref cacheRef, res core.MulticoreResults) {
+	if err := c.save(ref, res); err != nil {
+		fmt.Fprintf(os.Stderr, "ulmtsim: caching multicore %s %s: %v\n", ref.App, ref.Label, err)
 	}
 }

@@ -202,21 +202,28 @@ func TestCacheCorruptEntry(t *testing.T) {
 }
 
 // TestBuildDAG pins the scheduling graph ExecuteAll derives: identity
-// aliases are blocked by exactly their Repl leader; every other key —
-// leaders, ablations and the non-identity sweep points included — is
-// free; and with -fork off the graph is empty (flat fan-out).
+// aliases are blocked by exactly their leader from the leader table —
+// Repl for the sweep's identity points, Conven4+Repl for Custom on an
+// uncustomized app; every other key — leaders, customized Custom runs,
+// ablations and the non-identity sweep points included — is free; and
+// with -fork off the graph is empty (flat fan-out).
 func TestBuildDAG(t *testing.T) {
 	opt := equivOptions(nil)
+	// Parser has no Table 5 customization, so its Custom run aliases.
+	opt.Apps = append(opt.Apps, "Parser")
 	r := NewRunner(opt)
 	keys := r.PlanRuns(equivExperiments())
 	r.planFork(keys)
 	blockedBy, dependents := r.buildDAG(keys)
 
-	nAliases, nFree := 0, 0
+	nAliases, nCustomAliases, nFree := 0, 0, 0
 	for _, k := range keys {
-		leader := RunKey{App: k.App, Label: CfgRepl}
-		if forkFamilyOf(k.Label) == forkIdentical {
+		if l, ok := aliasLeader(k.App, k.Label); ok {
 			nAliases++
+			if k.Label == CfgCustom {
+				nCustomAliases++
+			}
+			leader := RunKey{App: k.App, Label: l}
 			if blockedBy[k] != 1 {
 				t.Errorf("alias %+v blockedBy = %d, want 1", k, blockedBy[k])
 			}
@@ -227,19 +234,20 @@ func TestBuildDAG(t *testing.T) {
 				}
 			}
 			if !found {
-				t.Errorf("alias %+v missing from its leader's dependents", k)
+				t.Errorf("alias %+v missing from its leader %s's dependents", k, l)
 			}
 			continue
 		}
-		if strings.HasPrefix(k.Label, "Abl/") || strings.HasPrefix(k.Label, "Sweep/") {
+		if strings.HasPrefix(k.Label, "Abl/") || strings.HasPrefix(k.Label, "Sweep/") || k.Label == CfgCustom {
 			nFree++
 		}
 		if blockedBy[k] != 0 {
 			t.Errorf("non-alias %+v blockedBy = %d, want 0", k, blockedBy[k])
 		}
 	}
-	if nAliases == 0 || nFree == 0 {
-		t.Fatalf("plan has %d aliases and %d ablation/sweep scratch keys; DAG test is vacuous", nAliases, nFree)
+	if nAliases == 0 || nCustomAliases == 0 || nFree == 0 {
+		t.Fatalf("plan has %d aliases (%d Custom) and %d free ablation/sweep/Custom keys; DAG test is vacuous",
+			nAliases, nCustomAliases, nFree)
 	}
 
 	r2 := NewRunner(Options{Scale: opt.Scale, Apps: opt.Apps, Seed: opt.Seed, NoFork: true})

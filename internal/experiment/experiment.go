@@ -230,11 +230,11 @@ type Runner struct {
 	retried     atomic.Uint64
 	failed      atomic.Uint64
 
-	// aliases holds the planned identity aliases (fork.go), built by
-	// ExecuteAll before its workers start; nil means every run
-	// computes from scratch. forkedRuns counts the aliases served
-	// from their leader's results.
-	aliases    map[RunKey]bool
+	// aliases maps each planned identity alias to its leader's key
+	// (fork.go), built by ExecuteAll before its workers start; nil
+	// means every run computes from scratch. forkedRuns counts the
+	// aliases served from their leader's results.
+	aliases    map[RunKey]RunKey
 	forkedRuns atomic.Uint64
 
 	// testHook, when set (tests only), runs at the top of every
@@ -287,7 +287,7 @@ func (r *Runner) RunsComputed() uint64 { return r.computed.Load() }
 func (r *Runner) EventsFired() uint64 { return r.eventsFired.Load() }
 
 // ForkedRuns reports how many runs were identity aliases served from
-// their Repl leader's results instead of simulating. ScratchRuns is
+// their leader's results instead of simulating. ScratchRuns is
 // the complement: simulations executed from cycle zero — the same
 // count RunsComputed reports.
 func (r *Runner) ForkedRuns() uint64  { return r.forkedRuns.Load() }
@@ -357,6 +357,47 @@ func (r *Runner) predictorRows() int {
 	return 1 << 16
 }
 
+// customization is one row of Table 5: an application whose Custom
+// machine departs from its Conven4+Repl setup. configure installs the
+// custom ULMT (and mode) on a config that already has Conven4 on;
+// newRepl builds a sized Repl algorithm with the given levels.
+type customization struct {
+	app       string
+	desc      string
+	configure func(cfg *core.Config, newRepl func(levels int) prefetch.Algorithm)
+}
+
+// customizations is Table 5, in row order, and its only definition:
+// BuildConfig's Custom case, Table5, the table5 run plan and the
+// Custom identity alias (fork.go) all read it. An application absent
+// here runs Custom as exactly its Conven4+Repl machine.
+var customizations = []customization{
+	{"CG", "Seq1+Repl in Verbose mode (Conven4 on)",
+		func(cfg *core.Config, newRepl func(int) prefetch.Algorithm) {
+			cfg.ULMT = &prefetch.Combined{
+				First:  must(prefetch.NewSeq(1, 6, SeqStateBase)),
+				Second: newRepl(3),
+			}
+			cfg.Verbose = true
+		}},
+	{"MST", "Repl with NumLevels=4 (Conven4 on)", replLevels4},
+	{"Mcf", "Repl with NumLevels=4 (Conven4 on)", replLevels4},
+}
+
+func replLevels4(cfg *core.Config, newRepl func(int) prefetch.Algorithm) {
+	cfg.ULMT = newRepl(4)
+}
+
+// customizationOf returns app's Table 5 customization, if it has one.
+func customizationOf(app string) (customization, bool) {
+	for _, c := range customizations {
+		if c.app == app {
+			return c, true
+		}
+	}
+	return customization{}, false
+}
+
 // BuildConfig assembles a core.Config for a labeled configuration,
 // with fresh (stateful) prefetcher instances.
 func (r *Runner) BuildConfig(app, label string) core.Config {
@@ -407,20 +448,12 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 			Second: newRepl(3),
 		}
 	case CfgCustom:
-		// Table 5: CG runs Seq1+Repl in Verbose mode; MST and Mcf
-		// run Repl with NumLevels=4; Conven4 stays on. Applications
-		// without a customization keep their Conven4+Repl setup.
+		// Table 5: a customized app installs its own ULMT; every other
+		// app keeps its Conven4+Repl setup. Conven4 stays on.
 		conven()
-		switch app {
-		case "CG":
-			cfg.ULMT = &prefetch.Combined{
-				First:  must(prefetch.NewSeq(1, 6, SeqStateBase)),
-				Second: newRepl(3),
-			}
-			cfg.Verbose = true
-		case "MST", "Mcf":
-			cfg.ULMT = newRepl(4)
-		default:
+		if c, ok := customizationOf(app); ok {
+			c.configure(&cfg, newRepl)
+		} else {
 			cfg.ULMT = newRepl(3)
 		}
 	default:
@@ -436,13 +469,12 @@ func (r *Runner) BuildConfig(app, label string) core.Config {
 }
 
 // Run simulates (once) application app under the labeled
-// configuration. Concurrent callers of the same (app, label) pair —
-// or of label pairs that build identical configurations (see
-// canonicalKey) — share one simulation. Renderers call Run only for
-// keys ExecuteAll already completed; a run that failed or was
-// interrupted panics here with the stored cause, which
-// cmd/ulmtsim never reaches because it skips rendering when
-// ExecuteAll reports an error.
+// configuration. Concurrent callers of the same (app, label) pair
+// share one simulation, and a planned identity alias shares its
+// leader's (fork.go). Renderers call Run only for keys ExecuteAll
+// already completed; a run that failed or was interrupted panics
+// here with the stored cause, which cmd/ulmtsim never reaches
+// because it skips rendering when ExecuteAll reports an error.
 func (r *Runner) Run(app, label string) core.Results {
 	out := r.outcome(RunKey{App: app, Label: label})
 	if out.err != nil {

@@ -1,6 +1,9 @@
 package experiment
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"ulmt/internal/prefetch"
 	"ulmt/internal/stats"
 	"ulmt/internal/table"
@@ -22,21 +25,41 @@ type Fig5Row struct {
 // Fig5 measures, for every application, the fraction of L2 misses
 // each algorithm correctly predicts at successor levels 1-3, using
 // conflict-free tables (paper §5.1: NumRows=256K, Assoc=4, NumSucc=4,
-// no prefetching performed).
+// no prefetching performed). The per-app rows are independent, so
+// they fan out over Options.Jobs workers; a row holds one correlation
+// table at a time, so at most Jobs tables are live at once.
 func (r *Runner) Fig5() []Fig5Row {
-	var out []Fig5Row
-	for _, app := range r.opt.apps() {
-		out = append(out, r.fig5Row(app))
+	apps := r.opt.apps()
+	out := make([]Fig5Row, len(apps))
+	workers := min(max(r.opt.Jobs, 1), len(apps))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(apps); i = int(next.Add(1)) - 1 {
+				out[i] = r.fig5Row(apps[i])
+			}
+		}()
 	}
+	wg.Wait()
 	return out
 }
 
 // fig5Row computes (once) one application's Fig 5 accuracies. The
-// derivation runs seven predictors over the full miss trace — the
-// most expensive non-simulation work of a report — so with a cache
-// attached the finished row is served from disk and a warm invocation
-// skips the trace entirely. float64 accuracies round-trip JSON
-// exactly, keeping warm reports byte-identical.
+// derivation runs five predictor passes over the full miss trace —
+// the most expensive non-simulation work of a report — so with a
+// cache attached the finished row is served from disk and a warm
+// invocation skips the trace entirely. float64 accuracies round-trip
+// JSON exactly, keeping warm reports byte-identical.
+//
+// The combined bars are the OR of Seq4 with Base or Repl, whose
+// components consume the trace independently: Seq4's pass records its
+// per-miss hits, and the Base and Repl passes OR them in
+// (prefetch.AccuracyOr), giving Seq4+Base and Seq4+Repl bit for bit
+// what prefetch.NewCombinedPredictor measures without re-running any
+// predictor (TestFig5DerivedMatchesCombined).
 func (r *Runner) fig5Row(app string) Fig5Row {
 	return r.fig5.get(app, func() Fig5Row {
 		if r.cache != nil {
@@ -45,42 +68,27 @@ func (r *Runner) fig5Row(app string) Fig5Row {
 			}
 		}
 		const levels = 3
-		rows := r.predictorRows()
-		big := table.Params{NumRows: rows, Assoc: 4, NumSucc: 4, NumLevels: levels}
-
-		makePredictor := func(alg string) prefetch.Predictor {
-			switch alg {
-			case "Seq1":
-				return prefetch.NewSeqPredictor(1, levels)
-			case "Seq4":
-				return prefetch.NewSeqPredictor(4, levels)
-			case "Base":
-				return prefetch.NewBasePredictor(big)
-			case "Chain":
-				return prefetch.NewChainPredictor(big, levels)
-			case "Repl":
-				return prefetch.NewReplPredictor(big)
-			case "Seq4+Base":
-				return prefetch.NewCombinedPredictor("Seq4+Base",
-					prefetch.NewSeqPredictor(4, levels), prefetch.NewBasePredictor(big))
-			case "Seq4+Repl":
-				return prefetch.NewCombinedPredictor("Seq4+Repl",
-					prefetch.NewSeqPredictor(4, levels), prefetch.NewReplPredictor(big))
-			}
-			panic("experiment: unknown Fig 5 algorithm " + alg)
-		}
-
+		big := table.Params{NumRows: r.predictorRows(), Assoc: 4, NumSucc: 4, NumLevels: levels}
 		tr := r.MissTrace(app)
-		row := Fig5Row{App: app, Acc: make(map[string][]float64)}
-		for _, alg := range Fig5Algorithms {
-			p := makePredictor(alg)
-			row.Acc[alg] = prefetch.Accuracy(p, tr)
-			prefetch.RecyclePredictor(p)
-		}
+		acc := make(map[string][]float64, len(Fig5Algorithms))
+		var seq4 *prefetch.HitSet
+		acc["Seq1"] = prefetch.Accuracy(prefetch.NewSeqPredictor(1, levels), tr)
+		acc["Seq4"], seq4 = prefetch.Record(prefetch.NewSeqPredictor(4, levels), tr)
+		// One correlation table live at a time: each is recycled
+		// before the next pass builds its own.
+		p := prefetch.NewBasePredictor(big)
+		acc["Base"], acc["Seq4+Base"] = prefetch.AccuracyOr(p, tr, seq4)
+		prefetch.RecyclePredictor(p)
+		p = prefetch.NewChainPredictor(big, levels)
+		acc["Chain"] = prefetch.Accuracy(p, tr)
+		prefetch.RecyclePredictor(p)
+		p = prefetch.NewReplPredictor(big)
+		acc["Repl"], acc["Seq4+Repl"] = prefetch.AccuracyOr(p, tr, seq4)
+		prefetch.RecyclePredictor(p)
 		if r.cache != nil {
-			r.cache.saveFig5(app, fig5Artifact{Acc: row.Acc})
+			r.cache.saveFig5(app, fig5Artifact{Acc: acc})
 		}
-		return row
+		return Fig5Row{App: app, Acc: acc}
 	})
 }
 

@@ -19,7 +19,12 @@ import (
 //
 // Unlike the single-core experiments, multicore runs are not routed
 // through the Runner's memoized single-core matrix (RunKey has no
-// notion of a machine size); the renderer simulates directly. The
+// notion of a machine size); the renderer simulates directly, and an
+// attached cache serves each machine's finished results like the
+// Fig 5 and sizing artifacts, keyed by core count, shard count,
+// prefetch on/off and the app mix (never by -intra-j, which cannot
+// change a byte). Mid-flight multicore machines are not checkpointed:
+// an interrupted multicore invocation starts its machines over. The
 // experiment is intentionally not part of `-exp all`, mirroring the
 // "faults" summary.
 
@@ -37,9 +42,28 @@ const coreTableStride mem.Addr = 1 << 40
 // cores). With prefetching off it is the NoPref control. Shards
 // follows Options.Shards: 0 gives each core a private replicated
 // table and memory thread; S >= 1 shards one shared table across S
-// memory threads.
+// memory threads. With a cache attached, a machine an earlier
+// invocation finished is served from disk instead of simulated.
 func (r *Runner) MulticoreMix(n int, withPrefetch bool) (core.MulticoreResults, []string) {
 	apps := r.Apps()
+	names := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		names = append(names, apps[i%len(apps)])
+	}
+	if r.cache == nil {
+		return r.simulateMulticore(names, withPrefetch), names
+	}
+	ref := multicoreRef(names, r.opt.Shards, withPrefetch)
+	if res, ok := r.cache.loadMulticore(ref); ok {
+		return res, names
+	}
+	res := r.simulateMulticore(names, withPrefetch)
+	r.cache.saveMulticore(ref, res)
+	return res, names
+}
+
+// simulateMulticore builds and runs the machine over the named mix.
+func (r *Runner) simulateMulticore(names []string, withPrefetch bool) core.MulticoreResults {
 	base := core.DefaultConfig()
 	base.Seed = r.opt.Seed
 	base.Faults = r.opt.Faults
@@ -47,11 +71,8 @@ func (r *Runner) MulticoreMix(n int, withPrefetch bool) (core.MulticoreResults, 
 	base.CPU.DisableFastPath = r.opt.NoFastPath
 
 	mc := core.MulticoreConfig{Base: base, IntraJ: r.opt.IntraJobs, Ledger: r.ledger}
-	names := make([]string, 0, n)
 	maxRows := 0
-	for i := 0; i < n; i++ {
-		app := apps[i%len(apps)]
-		names = append(names, app)
+	for i, app := range names {
 		if rows := r.NumRows(app); rows > maxRows {
 			maxRows = rows
 		}
@@ -81,7 +102,7 @@ func (r *Runner) MulticoreMix(n int, withPrefetch bool) (core.MulticoreResults, 
 	// a multicore invocation report real run/event counts.
 	r.computed.Add(1)
 	r.eventsFired.Add(res.EventsFired)
-	return res, names
+	return res
 }
 
 // renderMulticore prints, for each machine size in the ladder (or the

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,5 +70,53 @@ func TestMulticoreMixShapes(t *testing.T) {
 	}
 	if sres.ULMT.MissesProcessed == 0 {
 		t.Error("sharded ULMT observed no misses")
+	}
+}
+
+// TestMulticoreCacheWarm proves the multicore machines are served
+// from -cache-dir: a second invocation into the same directory
+// simulates nothing and renders identical bytes — including at
+// another -intra-j, which the cache key leaves out — and a cached
+// MulticoreResults reloads DeepEqual to the simulated one, in both
+// the private-ULMT and sharded modes.
+func TestMulticoreCacheWarm(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		dir := t.TempDir()
+		render := func(intraJ int) ([]byte, *Runner) {
+			opt := multicoreOptions(2, shards)
+			opt.IntraJobs = intraJ
+			r := NewRunner(opt)
+			r.AttachCache(openTestCache(t, dir, opt))
+			var buf bytes.Buffer
+			if err := r.Render(&buf, "multicore"); err != nil {
+				t.Fatalf("shards=%d: %v", shards, err)
+			}
+			return buf.Bytes(), r
+		}
+		cold, rc := render(1)
+		if rc.ScratchRuns() != 2 {
+			t.Errorf("shards=%d: cold run simulated %d machines, want 2", shards, rc.ScratchRuns())
+		}
+		warm, rw := render(2)
+		if rw.ScratchRuns() != 0 {
+			t.Errorf("shards=%d: warm run simulated %d machines, want 0", shards, rw.ScratchRuns())
+		}
+		if rw.Cache().Hits() != 2 {
+			t.Errorf("shards=%d: warm run had %d cache hits, want 2", shards, rw.Cache().Hits())
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("shards=%d: warm multicore report differs from cold", shards)
+		}
+
+		for _, pref := range []bool{false, true} {
+			want, names := NewRunner(multicoreOptions(2, shards)).MulticoreMix(2, pref)
+			got, ok := rw.Cache().loadMulticore(multicoreRef(names, shards, pref))
+			if !ok {
+				t.Fatalf("shards=%d prefetch=%t: no cached machine", shards, pref)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d prefetch=%t: cached results differ:\n got %+v\nwant %+v", shards, pref, got, want)
+			}
+		}
 	}
 }

@@ -48,9 +48,9 @@ func (r *Runner) ExperimentRuns(exp string) []RunKey {
 		return matrix(apps, Fig11Configs)
 	case "table5":
 		var present []string
-		for _, app := range []string{"CG", "MST", "Mcf"} {
-			if containsStr(apps, app) {
-				present = append(present, app)
+		for _, c := range customizations {
+			if containsStr(apps, c.app) {
+				present = append(present, c.app)
 			}
 		}
 		return matrix(present, []string{CfgNoPref, CfgConvenRepl, CfgCustom})
@@ -86,20 +86,20 @@ func (r *Runner) PlanRuns(exps []string) []RunKey {
 }
 
 // buildDAG derives the dependency graph of a planned key set from its
-// identity aliases: every planned alias is blocked by its Repl
-// leader, every other key (leaders included) is free. An alias that
-// dispatches only after its leader's outcome resolves never burns a
-// worker slot blocking on the leader memo.
+// identity aliases: every planned alias is blocked by its leader
+// (fork.go's leader table), every other key (leaders included) is
+// free. An alias that dispatches only after its leader's outcome
+// resolves never burns a worker slot blocking on the leader memo.
 func (r *Runner) buildDAG(keys []RunKey) (blockedBy map[RunKey]int, dependents map[RunKey][]RunKey) {
 	blockedBy = make(map[RunKey]int)
 	dependents = make(map[RunKey][]RunKey)
 	// planFork only records aliases whose leader is in the key set,
 	// so every edge here stays inside the planned keys.
 	for _, k := range keys {
-		if !r.aliases[k] {
+		leader, ok := r.aliases[k]
+		if !ok {
 			continue
 		}
-		leader := RunKey{App: k.App, Label: CfgRepl}
 		blockedBy[k]++
 		dependents[leader] = append(dependents[leader], k)
 	}
@@ -109,22 +109,22 @@ func (r *Runner) buildDAG(keys []RunKey) (blockedBy map[RunKey]int, dependents m
 // ExecuteAll runs every key on a bounded worker pool of the given
 // size (<=0 means GOMAXPROCS) and returns when all are complete.
 // Because runs memoize with single-flight semantics, keys that share
-// op streams, miss traces, sizing or a canonical configuration
-// compute them once, and a key already cached costs nothing. onDone,
-// if non-nil, is called after each completed run with (completed,
-// total); it may be called from many goroutines at once and must
-// synchronize itself.
+// op streams, miss traces or sizing compute them once, an identity
+// alias reuses its leader's simulation, and a key already cached
+// costs nothing. onDone, if non-nil, is called after each completed
+// run with (completed, total); it may be called from many goroutines
+// at once and must synchronize itself.
 //
 // Scheduling is an explicit dependency DAG, not a flat queue:
-// identity aliases are blocked by their Repl leader and dispatch only
-// once the leader's outcome is published, while every other run fans
+// identity aliases are blocked by their leader and dispatch only once
+// the leader's outcome is published, while every other run fans
 // out across the workers from the start. A leader always completes
 // its node — even by memoizing an error — so aliases always unblock
 // and the dispatcher cannot deadlock; an alias whose leader failed
 // simply falls back to a scratch run.
 //
 // Cancelling ctx interrupts the matrix: in-flight runs checkpoint (if
-// a store is attached and they support it) or abort, queued keys are
+// a cache is attached and they support it) or abort, queued keys are
 // skipped (each still flows through the DAG so accounting completes),
 // and ExecuteAll returns the context's error once everything has
 // stopped — no run is killed mid-write. Runs that exhaust their retry

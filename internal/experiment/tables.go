@@ -159,22 +159,17 @@ type Table5Row struct {
 // Table5 reports the paper's customization experiments: CG with
 // Seq1+Repl in Verbose mode, MST and Mcf with NumLevels=4.
 func (r *Runner) Table5() []Table5Row {
-	specs := []struct{ app, desc string }{
-		{"CG", "Seq1+Repl in Verbose mode (Conven4 on)"},
-		{"MST", "Repl with NumLevels=4 (Conven4 on)"},
-		{"Mcf", "Repl with NumLevels=4 (Conven4 on)"},
-	}
 	var out []Table5Row
-	for _, sp := range specs {
-		if !containsStr(r.opt.apps(), sp.app) {
+	for _, c := range customizations {
+		if !containsStr(r.opt.apps(), c.app) {
 			continue
 		}
-		base := r.Baseline(sp.app)
+		base := r.Baseline(c.app)
 		out = append(out, Table5Row{
-			App:           sp.app,
-			Customization: sp.desc,
-			SpeedupBefore: r.Run(sp.app, CfgConvenRepl).Speedup(base),
-			SpeedupAfter:  r.Run(sp.app, CfgCustom).Speedup(base),
+			App:           c.app,
+			Customization: c.desc,
+			SpeedupBefore: r.Run(c.app, CfgConvenRepl).Speedup(base),
+			SpeedupAfter:  r.Run(c.app, CfgCustom).Speedup(base),
 		})
 	}
 	return out

@@ -257,20 +257,82 @@ func RecyclePredictor(p Predictor) {
 // fraction of misses correctly predicted at each level — one Fig 5
 // bar group.
 func Accuracy(p Predictor, trace []mem.Line) []float64 {
-	correct := make([]uint64, p.Levels())
-	for _, m := range trace {
-		for k, ok := range p.Consume(m) {
+	own, _ := measure(p, trace, nil, nil)
+	return own
+}
+
+// HitSet records which misses of a trace a predictor predicted, per
+// level: bit i*levels+k is set when miss i was predicted at level k+1.
+// It lets a later pass measure "this predictor OR that one" without
+// running the recorded predictor again (AccuracyOr).
+type HitSet struct {
+	levels int
+	bits   []uint64
+}
+
+func (h *HitSet) set(i int)      { h.bits[i>>6] |= 1 << (i & 63) }
+func (h *HitSet) has(i int) bool { return h.bits[i>>6]&(1<<(i&63)) != 0 }
+
+// Record is Accuracy that also returns p's per-miss, per-level hits.
+func Record(p Predictor, trace []mem.Line) ([]float64, *HitSet) {
+	lv := p.Levels()
+	rec := &HitSet{levels: lv, bits: make([]uint64, (len(trace)*lv+63)/64)}
+	acc, _ := measure(p, trace, nil, rec)
+	return acc, rec
+}
+
+// AccuracyOr runs p over trace once and returns both p's own accuracy
+// (what Accuracy returns) and the accuracy of p ORed with a recorded
+// pass over the same trace: bit for bit what NewCombinedPredictor of
+// the recorded predictor and p measures, since the combined
+// predictor's components consume the trace independently.
+func AccuracyOr(p Predictor, trace []mem.Line, prior *HitSet) (own, combined []float64) {
+	return measure(p, trace, prior, nil)
+}
+
+// measure is the pass behind Accuracy, Record and AccuracyOr: it
+// counts p's correct predictions per level, records them into rec
+// when non-nil, and counts them ORed with prior's when prior is
+// non-nil.
+func measure(p Predictor, trace []mem.Line, prior, rec *HitSet) (own, combined []float64) {
+	lv := p.Levels()
+	clv := lv
+	if prior != nil && prior.levels > clv {
+		clv = prior.levels
+	}
+	correct := make([]uint64, lv)
+	either := make([]uint64, clv)
+	for i, m := range trace {
+		hit := p.Consume(m)
+		for k := 0; k < clv; k++ {
+			ok := k < lv && hit[k]
 			if ok {
 				correct[k]++
+				if rec != nil {
+					rec.set(i*lv + k)
+				}
+			}
+			if ok || prior != nil && k < prior.levels && prior.has(i*prior.levels+k) {
+				either[k]++
 			}
 		}
 	}
-	out := make([]float64, p.Levels())
-	if len(trace) == 0 {
+	own = fractions(correct, len(trace))
+	if prior != nil {
+		combined = fractions(either, len(trace))
+	}
+	return own, combined
+}
+
+// fractions divides per-level counts by the trace length (all zeros
+// for an empty trace).
+func fractions(counts []uint64, n int) []float64 {
+	out := make([]float64, len(counts))
+	if n == 0 {
 		return out
 	}
 	for k := range out {
-		out[k] = float64(correct[k]) / float64(len(trace))
+		out[k] = float64(counts[k]) / float64(n)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"reflect"
 	"testing"
 
 	"ulmt/internal/mem"
@@ -102,6 +103,38 @@ func TestCombinedPredictorORs(t *testing.T) {
 	}
 	if got := NewCombinedPredictor("X", NewSeqPredictor(1, 2)).Levels(); got != 2 {
 		t.Errorf("combined levels = %d", got)
+	}
+}
+
+// TestAccuracyOrMatchesCombined pins AccuracyOr to the combined
+// predictor it replaces: ORing a recorded Seq4 pass into Base's (one
+// level) and Repl's (three levels) passes gives exactly the
+// accuracies NewCombinedPredictor measures, and each pass's own
+// accuracy equals Accuracy's — on an empty trace too.
+func TestAccuracyOrMatchesCombined(t *testing.T) {
+	var pattern []mem.Line
+	for i := 0; i < 8; i++ {
+		pattern = append(pattern, mem.Line(5000+i))
+	}
+	pattern = append(pattern, 10, 900, 33, 1200)
+	for _, trace := range [][]mem.Line{repeatSeq(pattern, 40), nil} {
+		seqAcc, seq := Record(NewSeqPredictor(4, 3), trace)
+		if want := Accuracy(NewSeqPredictor(4, 3), trace); !reflect.DeepEqual(seqAcc, want) {
+			t.Errorf("Record accuracy %v, Accuracy %v", seqAcc, want)
+		}
+		for _, mk := range []func() Predictor{
+			func() Predictor { return NewBasePredictor(bigParams(1)) },
+			func() Predictor { return NewReplPredictor(bigParams(3)) },
+		} {
+			own, comb := AccuracyOr(mk(), trace, seq)
+			if want := Accuracy(mk(), trace); !reflect.DeepEqual(own, want) {
+				t.Errorf("%s: own accuracy %v, Accuracy %v", mk().Name(), own, want)
+			}
+			want := Accuracy(NewCombinedPredictor("Seq4+X", NewSeqPredictor(4, 3), mk()), trace)
+			if !reflect.DeepEqual(comb, want) {
+				t.Errorf("Seq4+%s: AccuracyOr %v, combined predictor %v", mk().Name(), comb, want)
+			}
+		}
 	}
 }
 
